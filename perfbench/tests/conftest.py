@@ -1,0 +1,12 @@
+"""Make ``repro`` (under src/) and ``perfbench`` importable for these tests.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
