@@ -1,45 +1,9 @@
 """Benchmark harness regenerating the paper's evaluation artifacts.
 
-One entry point per artifact (see DESIGN.md's experiment index):
-
-* :func:`repro.bench.tables.table1` — Table 1, the application inventory;
-* :func:`repro.bench.figures.fig7_series` — the three panels of Fig. 7
-  (weak-scaling throughput of stencil / iPiC3D / TPC, AllScale vs MPI vs
-  linear);
-* :mod:`repro.bench.harness` — generic node-count sweeps and shape checks
-  (who wins, by what factor, where curves flatten).
-
-Absolute numbers come from a simulator calibrated at single-node scale, so
+Table 1 comes from :func:`repro.bench.tables.table1`; everything else is
+a :class:`~repro.bench.panel.Panel` — ``scaling`` (Fig. 7), ``ablations``,
+``comms``, ``churn``, ``placement`` and ``service`` — run by
+``python -m repro.bench`` (see DESIGN.md's experiment index).  Absolute
+numbers come from a simulator calibrated at single-node scale, so
 EXPERIMENTS.md compares *shapes* against the paper, not raw values.
 """
-
-from repro.bench.harness import (
-    FIG7_NODE_COUNTS,
-    ScalingPoint,
-    ScalingSeries,
-    parallel_efficiency,
-)
-from repro.bench.figures import (
-    fig7_stencil,
-    fig7_ipic3d,
-    fig7_tpc,
-    quick_node_counts,
-)
-from repro.bench.tables import table1, TABLE1_ROWS
-from repro.bench.report import render_series, render_table, series_to_csv
-
-__all__ = [
-    "FIG7_NODE_COUNTS",
-    "ScalingPoint",
-    "ScalingSeries",
-    "parallel_efficiency",
-    "fig7_stencil",
-    "fig7_ipic3d",
-    "fig7_tpc",
-    "quick_node_counts",
-    "table1",
-    "TABLE1_ROWS",
-    "render_series",
-    "render_table",
-    "series_to_csv",
-]

@@ -2,441 +2,222 @@
 
 Usage::
 
-    python -m repro.bench table1
-    python -m repro.bench stencil ipic3d tpc          # Fig. 7 panels
-    python -m repro.bench all --quick --out results/  # CSV per panel
+    python -m repro.bench table1                    # Table 1
+    python -m repro.bench scaling --quick --check   # Fig. 7 vs its baseline
+    python -m repro.bench churn placement --smoke   # several panels
+    python -m repro.bench all --smoke               # Table 1 + Fig. 7
 
-Each panel prints the regenerated table; with ``--out`` the raw numbers
-are additionally written as CSV files.
+Every panel runs its cells from a cold region kernel, prints per-cell
+host timing and its tables, and evaluates its semantic gates; ``--check``
+compares against the committed ``BENCH_<panel>_baseline.json`` and
+``--write-baseline`` re-pins it (refused when a gate fails).  The exit
+status is non-zero when any gate, check, sentinel or analysis fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
-import time
+from collections import Counter
+from typing import Any, Callable
 
-from repro.bench.figures import fig7_ipic3d, fig7_stencil, fig7_tpc
-from repro.bench.report import (
-    region_cache_csv,
-    region_cache_stats,
-    render_region_cache,
-    render_series,
-    render_table1,
-    series_to_csv,
-)
+from repro.analysis import admission
+from repro.bench.ablations import AblationsPanel
+from repro.bench.churn import ChurnPanel
+from repro.bench.comms import CommsPanel
+from repro.bench.panel import Panel, Run, run_cell, section, settle
+from repro.bench.placement import PlacementPanel
+from repro.bench.report import render_table1
+from repro.bench.scaling import ScalingPanel
+from repro.bench.service import ServicePanel
 from repro.bench.tables import table1
+from repro.regions.kernel import get_kernel
+from repro.runtime import sentinel as sentinel_mod
 
-PANELS = {
-    "stencil": fig7_stencil,
-    "ipic3d": fig7_ipic3d,
-    "tpc": fig7_tpc,
+PANELS: dict[str, Callable[[], Panel]] = {
+    "scaling": ScalingPanel,
+    "comms": CommsPanel,
+    "churn": ChurnPanel,
+    "placement": PlacementPanel,
+    "service": ServicePanel,
+    "ablations": AblationsPanel,
 }
 
+#: ``all`` regenerates the paper's own artifacts: Table 1 and Fig. 7
+ALL = ("table1", "scaling")
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+
+def parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation tables and figures.",
     )
     choices = ["table1", *PANELS, "all"]
-    parser.add_argument(
+    p.add_argument(
         "artifacts",
         nargs="*",
         metavar=f"{{{','.join(choices)}}}",
         help="which artifact(s) to regenerate (default: all)",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller sweeps (1/4/16 nodes, reduced workloads)",
+    size = p.add_mutually_exclusive_group()
+    size.add_argument(
+        "--quick", dest="mode", action="store_const", const="quick",
+        default="full", help="reduced sweeps (Fig. 7 at 1/4/16 nodes)",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="minimal CI smoke run (1/4 nodes, reduced workloads)",
+    size.add_argument(
+        "--smoke", dest="mode", action="store_const", const="smoke",
+        help="minimal CI sweeps (Fig. 7 at 1/4 nodes)",
     )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="directory to write CSV files into",
+    pin = p.add_mutually_exclusive_group()
+    pin.add_argument(
+        "--check", action="store_true",
+        help="compare against the committed baseline: every pinned value "
+        "exact, wall clock within max(+20%%, +1 s)",
     )
-    parser.add_argument(
-        "--comms",
-        action="store_true",
-        help="run the communication-layer panel: each app with transfer "
-        "coalescing + replica prefetch off vs. on, reporting message "
-        "counts, bytes, and wall-clock deltas (non-zero exit if the "
-        "optimised run changes computed outputs or moved bytes)",
+    pin.add_argument(
+        "--write-baseline", action="store_true",
+        help="merge this run's mode section into the committed baseline "
+        "(refused when a gate fails)",
     )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="run the Fig. 7 weak-scaling sweep for all three apps "
-        "(full 1-64 nodes by default; --quick/--smoke shrink it) and "
-        "print per-app host timing",
+    p.add_argument(
+        "--sentinel", action="store_true",
+        help="re-run each cell with the runtime invariant sentinel "
+        "attached; report overhead and violations",
     )
-    parser.add_argument(
-        "--placement",
-        action="store_true",
-        help="run the placement policy tournament: the offline planner "
-        "vs. data-aware/round-robin/random across all three apps and "
-        "three fat-tree topologies, reporting wall clock, messages, "
-        "bytes moved, and balancer migrations",
+    p.add_argument(
+        "--analyze", action="store_true",
+        help="re-run each cell with static admission analysis attached; "
+        "report analysis time and findings",
     )
-    parser.add_argument(
-        "--churn",
-        action="store_true",
-        help="run the elasticity panel: each app under node churn "
-        "(scale-out, graceful drain, failure storms with checkpoint "
-        "recovery) sweeping churn rate x storm size; simulated values "
-        "are pinned exactly in BENCH_churn_baseline.json",
+    p.add_argument(
+        "--out", type=pathlib.Path, default=None,
+        help="directory to write each panel's <panel>_<mode>.json into",
     )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the multi-tenant service panel: replay the committed "
-        "arrival trace plus the contended fair-share demo, reporting "
-        "per-tenant latency/throughput and the fairness index",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="with --scaling/--service: merge this run's section into "
-        "the matching BENCH_*_baseline.json",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="with --scaling/--service: compare against the committed "
-        "baseline; non-zero exit if any simulated value differs or "
-        "wall clock regresses >20%%",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="APP",
-        choices=sorted(PANELS),
-        default=None,
-        help="profile one panel under cProfile and print the top-20 "
-        "functions by cumulative time (quick mode unless --smoke)",
-    )
-    parser.add_argument(
-        "--sentinel",
-        action="store_true",
-        help="re-run each panel with the runtime invariant sentinel "
-        "attached; report checking overhead and any violations "
-        "(non-zero exit if an invariant fails)",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="re-run each panel with static admission analysis attached; "
-        "report per-panel analysis wall time and finding counts "
-        "(non-zero exit if any error finding surfaces)",
-    )
-    args = parser.parse_args(argv)
+    return p
 
+
+def _kernel_line() -> str:
+    stats = get_kernel().stats()
+    hits, misses = stats["region.cache_hits"], stats["region.cache_misses"]
+    rate = f"{hits / (hits + misses):.1%}" if hits + misses else "-"
+    return f"region cache {rate} hits, {stats.get('region.interned', 0)} interned"
+
+
+def _attached(
+    module: Any, config: Any, panel: Panel, mode: str, cell: str
+) -> tuple[list[Any], float]:
+    """Re-run a cell with a checker enabled process-wide: (checkers, seconds)."""
+    module.enable_globally(config)
+    try:
+        _values, seconds = run_cell(panel, mode, cell)
+    finally:
+        created = module.drain_created()
+        module.reset_global()
+    return created, seconds
+
+
+def _sentinel_rerun(panel: Panel, mode: str, cell: str, plain: float) -> list[str]:
+    config = sentinel_mod.SentinelConfig.bench_profile()
+    sentinels, seconds = _attached(sentinel_mod, config, panel, mode, cell)
+    violations = sum(len(s.violations) for s in sentinels)
+    overhead = (seconds / plain - 1.0) * 100.0 if plain else 0.0
+    print(
+        f"    (sentinel: {seconds:.1f}s wall, {overhead:+.1f}% overhead, "
+        f"{sum(s.checks for s in sentinels)} checks, "
+        f"{sum(s.scans for s in sentinels)} scans, {violations} violation(s))"
+    )
+    for sentinel in sentinels:
+        for line in sentinel.report_lines()[1:]:
+            print(line)
+    return [f"{cell}: {violations} sentinel violation(s)"] if violations else []
+
+
+def _analysis_rerun(panel: Panel, mode: str, cell: str) -> list[str]:
+    config = admission.AdmissionConfig(strict=False)
+    controllers, seconds = _attached(admission, config, panel, mode, cell)
+    reports = [report for c in controllers for report in c.reports]
+    analysis = sum(report.elapsed for report in reports)
+    counts: Counter[str] = Counter()
+    for report in reports:
+        counts.update(report.counts())
+    share = analysis / seconds * 100.0 if seconds else 0.0
+    print(
+        f"    (analysis: {analysis * 1000.0:.1f} ms over {len(reports)} "
+        f"submission(s) ({share:.1f}% of {seconds:.1f}s wall time), "
+        f"{counts['error']} error(s), {counts['warning']} warning(s), "
+        f"{counts['info']} info(s))"
+    )
+    for report in reports:
+        if not report.clean:
+            for line in report.render_lines(max_findings=10):
+                print(f"      {line}")
+    return [f"{cell}: {counts['error']} analysis error(s)"] if counts["error"] else []
+
+
+def bench(panel: Panel, args: argparse.Namespace) -> list[str]:
+    """Run one panel end to end; returns every problem found."""
+    result = Run(args.mode)
+    problems: list[str] = []
+    print(f"{panel.name} ({args.mode})")
+    for cell in panel.cells(args.mode):
+        values, seconds = run_cell(panel, args.mode, cell)
+        result.results[cell], result.seconds[cell] = values, seconds
+        print(f"  {cell:<14} {seconds:7.1f}s wall, {_kernel_line()}")
+        if args.sentinel:
+            problems += _sentinel_rerun(panel, args.mode, cell, seconds)
+        if args.analyze:
+            problems += _analysis_rerun(panel, args.mode, cell)
+    print(f"  {'total':<14} {result.wall:7.1f}s wall\n")
+    print(panel.render(args.mode, result.results) + "\n")
+    if args.out is not None:
+        path = args.out / f"{panel.name}_{args.mode}.json"
+        body = section(result.results, result.wall)
+        path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+    problems = settle(
+        panel,
+        result,
+        problems,
+        check_baseline=args.check,
+        write_baseline=args.write_baseline,
+    )
+    if args.write_baseline and not problems:
+        print(f"wrote {panel.baseline_path}")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = parser()
+    args = p.parse_args(argv)
+    choices = ["table1", *PANELS, "all"]
     for artifact in args.artifacts:
         if artifact not in choices:
-            parser.error(
+            p.error(
                 f"argument artifacts: invalid choice: {artifact!r} "
                 f"(choose from {', '.join(map(repr, choices))})"
             )
-
-    wanted = set(args.artifacts or ["all"])
-    if "all" in wanted:
-        wanted = {"table1", *PANELS}
+    wanted = [
+        name
+        for artifact in args.artifacts or ["all"]
+        for name in (ALL if artifact == "all" else (artifact,))
+    ]
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-
-    if args.profile is not None:
-        import cProfile
-        import pstats
-
-        build = PANELS[args.profile]
-        quick = args.quick or not args.smoke
-        profiler = cProfile.Profile()
-        profiler.enable()
-        build(quick=quick, smoke=args.smoke)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-        return 0
-
-    if args.scaling:
-        from repro.bench.scaling import (
-            check_panel,
-            load_baseline,
-            render_scaling_summary,
-            scaling_panel,
-            write_baseline,
-        )
-
-        panel = scaling_panel(quick=args.quick, smoke=args.smoke)
-        for series in panel.series.values():
-            print(render_series(series))
-            print()
-        print(render_scaling_summary(panel))
-        print()
-        if args.write_baseline:
-            path = write_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_panel(panel, load_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"scaling check: {problem}")
-                return 1
-            print("scaling check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.placement:
-        from repro.bench.placement import (
-            check_panel as check_placement,
-            load_baseline as load_placement_baseline,
-            placement_panel,
-            render_placement_leaderboard,
-            semantic_problems as placement_semantic_problems,
-            write_baseline as write_placement_baseline,
-        )
-
-        panel = placement_panel(quick=args.quick, smoke=args.smoke)
-        print(render_placement_leaderboard(panel))
-        print()
-        if args.write_baseline:
-            problems = placement_semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"placement panel: {problem}")
-                return 1
-            path = write_placement_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_placement(panel, load_placement_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"placement check: {problem}")
-                return 1
-            print("placement check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.churn:
-        from repro.bench.churn import (
-            check_panel as check_churn,
-            churn_panel,
-            load_baseline as load_churn_baseline,
-            render_churn_summary,
-            semantic_problems as churn_semantic_problems,
-            write_baseline as write_churn_baseline,
-        )
-
-        panel = churn_panel(quick=args.quick, smoke=args.smoke)
-        print(render_churn_summary(panel))
-        print()
-        if args.write_baseline:
-            problems = churn_semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"churn panel: {problem}")
-                return 1
-            path = write_churn_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_churn(panel, load_churn_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"churn check: {problem}")
-                return 1
-            print("churn check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.service:
-        from repro.bench.service import (
-            check_panel as check_service,
-            load_baseline as load_service_baseline,
-            render_service_summary,
-            semantic_problems,
-            service_panel,
-            write_baseline as write_service_baseline,
-        )
-
-        panel = service_panel()
-        print(render_service_summary(panel))
-        print()
-        if args.write_baseline:
-            problems = semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"service panel: {problem}")
-                return 1
-            path = write_service_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_service(panel, load_service_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"service check: {problem}")
-                return 1
-            print("service check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.comms:
-        from repro.bench.comms import comms_panel, comms_to_json, render_comms
-
-        started = time.perf_counter()
-        points = comms_panel(quick=args.quick, smoke=args.smoke)
-        elapsed = time.perf_counter() - started
-        print(render_comms(points))
-        print(f"(regenerated in {elapsed:.1f}s wall time)")
-        print()
-        if args.out is not None:
-            path = args.out / "comms.json"
-            path.write_text(comms_to_json(points))
-            print(f"wrote {path}")
-            print()
-        if not all(p.outputs_identical for p in points):
-            print("comms: optimised run changed outputs or moved bytes")
-            return 1
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if "table1" in wanted:
-        print(render_table1(table1()))
-        print()
-
-    ran_panels = False
-    total_violations = 0
-    total_analysis_errors = 0
-    for name, build in PANELS.items():
-        if name not in wanted:
+    failed = False
+    for name in dict.fromkeys(wanted):
+        if name == "table1":
+            print(render_table1(table1()) + "\n")
             continue
-        ran_panels = True
-        if args.sentinel:
-            # cold-start every timed segment (see the matching reset
-            # before the checked run below)
-            from repro.regions.kernel import get_kernel
-
-            get_kernel().reset()
-        started = time.perf_counter()
-        series = build(quick=args.quick, smoke=args.smoke)
-        elapsed = time.perf_counter() - started
-        print(render_series(series))
-        print(f"(regenerated in {elapsed:.1f}s wall time)")
+        problems = bench(PANELS[name](), args)
+        for problem in problems:
+            print(f"{name}: {problem}")
+        if args.check and not problems:
+            print(f"{name}: matches committed baseline, all gates hold")
         print()
-        if args.sentinel:
-            import gc
-
-            from repro.regions.kernel import get_kernel
-            from repro.runtime import sentinel as sentinel_mod
-
-            # the baseline run above started with cold region-kernel
-            # caches; a second run in the same process inherits its
-            # interned regions and op-LRU entries plus their GC
-            # pressure, which alone inflates wall time by >10% on the
-            # stencil panel.  Reset to the baseline's cold-start state
-            # so the delta measures the sentinel, not cache history.
-            get_kernel().reset()
-            gc.collect()
-            sentinel_mod.enable_globally(
-                sentinel_mod.SentinelConfig.bench_profile()
-            )
-            try:
-                checked_started = time.perf_counter()
-                build(quick=args.quick, smoke=args.smoke)
-                checked_elapsed = time.perf_counter() - checked_started
-            finally:
-                sentinels = sentinel_mod.drain_created()
-                sentinel_mod.reset_global()
-            checks = sum(s.checks for s in sentinels)
-            scans = sum(s.scans for s in sentinels)
-            violations = sum(len(s.violations) for s in sentinels)
-            total_violations += violations
-            overhead = (
-                (checked_elapsed / elapsed - 1.0) * 100.0 if elapsed else 0.0
-            )
-            print(
-                f"(sentinel: {checked_elapsed:.1f}s wall time, "
-                f"{overhead:+.1f}% overhead, {checks} checks, "
-                f"{scans} scans, {violations} violation(s))"
-            )
-            for sentinel in sentinels:
-                for line in sentinel.report_lines()[1:]:
-                    print(line)
-            print()
-        if args.analyze:
-            from repro.analysis import admission
-
-            admission.enable_globally(admission.AdmissionConfig(strict=False))
-            try:
-                analyzed_started = time.perf_counter()
-                build(quick=args.quick, smoke=args.smoke)
-                analyzed_elapsed = time.perf_counter() - analyzed_started
-            finally:
-                controllers = admission.drain_created()
-                admission.reset_global()
-            reports = [
-                report
-                for controller in controllers
-                for report in controller.reports
-            ]
-            analysis_time = sum(report.elapsed for report in reports)
-            counts = {"error": 0, "warning": 0, "info": 0}
-            for report in reports:
-                for severity, count in report.counts().items():
-                    counts[severity] += count
-            total_analysis_errors += counts["error"]
-            share = (
-                analysis_time / analyzed_elapsed * 100.0
-                if analyzed_elapsed
-                else 0.0
-            )
-            print(
-                f"(analysis: {analysis_time * 1000.0:.1f} ms over "
-                f"{len(reports)} submission(s) ({share:.1f}% of "
-                f"{analyzed_elapsed:.1f}s wall time), "
-                f"{counts['error']} error(s), {counts['warning']} "
-                f"warning(s), {counts['info']} info(s))"
-            )
-            for report in reports:
-                if not report.clean:
-                    for line in report.render_lines(max_findings=10):
-                        print(f"  {line}")
-            print()
-        if args.out is not None:
-            path = args.out / f"fig7_{name}.csv"
-            path.write_text(series_to_csv(series))
-            print(f"wrote {path}")
-            print()
-
-    if ran_panels:
-        stats = region_cache_stats()
-        print(render_region_cache(stats))
-        print()
-        if args.out is not None:
-            path = args.out / "region_cache.csv"
-            path.write_text(region_cache_csv(stats))
-            print(f"wrote {path}")
-            print()
-    if total_violations:
-        print(f"sentinel: {total_violations} invariant violation(s) detected")
-        return 1
-    if total_analysis_errors:
-        print(f"analysis: {total_analysis_errors} error finding(s) detected")
-        return 1
-    return 0
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,53 +1,28 @@
-"""The ``--churn`` panel: elasticity under node churn as a pinned artifact.
+"""The ``churn`` panel: elasticity under node churn as a pinned artifact.
 
-Each cell runs one application (stencil / iPiC3D / TPC) on a cluster
-whose membership changes *mid-run* through
-:class:`~repro.runtime.elastic.ChurnController`:
+One cell per application (stencil / iPiC3D / TPC), each running the app
+on a cluster whose membership changes *mid-run* through
+:class:`~repro.runtime.elastic.ChurnController`: ``baseline`` (no churn;
+its duration sizes the other schedules), ``scale_out`` (nodes join),
+``drain`` (a node leaves gracefully) and the ``storm<S>xr<R>`` grid (``R``
+join/drain cycles plus one correlated failure of ``S`` nodes recovered
+from a checkpoint).  Every simulated quantity is pinned exactly.
 
-* ``baseline`` — no churn (the static reference the others perturb);
-* ``scale_out`` — nodes join mid-run, ownership shares migrate to them;
-* ``drain`` — a node leaves gracefully, evacuating tasks and data;
-* ``storm<S>xr<R>`` — the churn-rate × storm-size grid: ``R``
-  join/drain cycles spread over the run plus one correlated failure of
-  ``S`` nodes recovered from a checkpoint.
-
-Every simulated quantity a cell reports (elapsed seconds, churn event
-counts, evacuated/restored bytes, forwarded tasks, recovery time) is
-deterministic, so ``--check`` demands exact equality against the
-committed ``BENCH_churn_baseline.json`` — any drift is a behaviour
-change.  Host wall clock gets the usual :data:`ELAPSED_TOLERANCE`.
-
-The panel is sentinel-aware: run under ``REPRO_SENTINEL=1`` the runtimes
-attach strict invariant sentinels, the panel records their violation
-counts, and :func:`semantic_problems` rejects a baseline write with any
-violation — the CI job pins "zero sentinel violations across the whole
-churn sweep" as a hard gate.
+Run under ``REPRO_SENTINEL=1`` the runtimes attach strict invariant
+sentinels; their violation counts are unpinned, and the gates reject any
+— CI pins "zero sentinel violations across the churn sweep" this way.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-from dataclasses import dataclass, field
-
-from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
-from repro.apps.stencil import StencilWorkload, stencil_allscale
-from repro.apps.tpc import TPCWorkload, tpc_allscale
-from repro.runtime.config import RuntimeConfig
+from repro.apps.ipic3d import IPic3DWorkload
+from repro.apps.stencil import StencilWorkload
+from repro.apps.tpc import TPCWorkload
+from repro.bench.panel import BASELINE_ROOT, UNPINNED, Results, Values
+from repro.bench.report import render_rows
+from repro.bench.scaling import ALLSCALE, runtime_config
 from repro.runtime.elastic import ChurnController, ChurnEvent
 from repro.sim.cluster import Cluster, meggie_like_spec
-
-#: schema version of the JSON baseline; bump on any section-shape change
-CHURN_SCHEMA_VERSION = 1
-
-#: committed location of the pinned sweep
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_churn_baseline.json"
-)
-
-#: relative wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
 
 #: metrics every cell snapshots (exact simulated values)
 _PINNED_METRICS = (
@@ -63,12 +38,6 @@ _PINNED_METRICS = (
     "elastic.recovery_time.mean",
     "dm.dead_letter_payloads",
 )
-
-
-def panel_mode(quick: bool, smoke: bool) -> str:
-    if smoke:
-        return "smoke"
-    return "quick" if quick else "full"
 
 
 def _grid(mode: str) -> tuple[int, list[tuple[int, int]]]:
@@ -104,45 +73,6 @@ def _workloads(mode: str) -> dict:
             submission_waves=4,
         ),
     }
-
-
-_RUNNERS = {
-    "stencil": stencil_allscale,
-    "ipic3d": ipic3d_allscale,
-    "tpc": tpc_allscale,
-}
-
-
-def _runtime_config() -> RuntimeConfig:
-    return RuntimeConfig(functional=False, oversubscription=2)
-
-
-@dataclass
-class ChurnCell:
-    """One (app, scenario) run with its pinned simulated outcomes."""
-
-    app: str
-    scenario: str
-    sim_elapsed: float
-    metrics: dict[str, float]
-    #: membership log length (joins+drains+storm victims applied)
-    membership_changes: int
-    final_processes: int
-    sentinel_violations: int | None
-
-
-@dataclass
-class ChurnPanel:
-    mode: str
-    start_nodes: int
-    cells: list[ChurnCell] = field(default_factory=list)
-    wall_seconds: dict[str, float] = field(default_factory=dict)
-    #: whether the strict sentinel was attached during this sweep
-    sentinel_attached: bool = False
-
-    @property
-    def wall_total(self) -> float:
-        return sum(self.wall_seconds.values())
 
 
 def _schedule(
@@ -181,231 +111,111 @@ def _run_cell(app: str, workload, nodes: int, events: list[ChurnEvent]):
             captured["controller"] = controller
             controller.start()
 
-    result = _RUNNERS[app](
-        Cluster(meggie_like_spec(nodes)),
-        workload,
-        _runtime_config(),
-        on_runtime=on_runtime,
-    )
+    cluster = Cluster(meggie_like_spec(nodes))
+    result = ALLSCALE[app](cluster, workload, runtime_config(), on_runtime=on_runtime)
     runtime = captured["runtime"]
     controller = captured.get("controller")
     if controller is not None and not controller.done:
-        raise RuntimeError(
-            f"{app}: churn schedule did not complete within the run"
-        )
+        raise RuntimeError(f"{app}: churn schedule did not complete within the run")
     snapshot = runtime.metrics.snapshot()
     runtime.check_ownership_invariants()
-    violations = None
+    violations: int | None = None
     if runtime.sentinel is not None:
         runtime.sentinel.verify_all()
         violations = len(runtime.sentinel.violations)
     return result, runtime, controller, snapshot, violations
 
 
-def churn_panel(quick: bool = False, smoke: bool = False) -> ChurnPanel:
-    """Run the full churn sweep: every app × every scenario."""
-    mode = panel_mode(quick, smoke)
-    nodes, grid = _grid(mode)
-    workloads = _workloads(mode)
-    panel = ChurnPanel(mode=mode, start_nodes=nodes)
-    for app, workload in workloads.items():
-        started = time.perf_counter()
-        # the baseline run calibrates the schedule clock for the rest
-        result, runtime, _ctrl, snapshot, violations = _run_cell(
-            app, workload, nodes, []
-        )
-        panel.sentinel_attached = (
-            panel.sentinel_attached or runtime.sentinel is not None
-        )
-        total = runtime.now
-        scenarios: list[tuple[str, int, int]] = [
-            ("baseline", 0, 0),
-            ("scale_out", 0, 0),
-            ("drain", 0, 0),
-        ] + [(f"storm{s}xr{r}", r, s) for r, s in grid]
-        for scenario, rate, storm in scenarios:
-            if scenario == "baseline":
-                cell_result = result
-                cell_snapshot = snapshot
-                cell_runtime = runtime
-                controller = None
-                cell_violations = violations
-            else:
-                schedule = _schedule(scenario, total, rate, storm)
-                (
-                    cell_result,
-                    cell_runtime,
-                    controller,
-                    cell_snapshot,
-                    cell_violations,
-                ) = _run_cell(app, workload, nodes, schedule)
-            panel.cells.append(
-                ChurnCell(
-                    app=app,
-                    scenario=scenario,
-                    sim_elapsed=cell_result.elapsed,
-                    metrics={
-                        name: cell_snapshot.get(name, 0.0)
-                        for name in _PINNED_METRICS
-                    },
-                    membership_changes=(
-                        len(controller.log) if controller is not None else 0
-                    ),
-                    final_processes=len(cell_runtime.alive_processes()),
-                    sentinel_violations=cell_violations,
-                )
-            )
-        panel.wall_seconds[app] = time.perf_counter() - started
-    return panel
-
-
-# -- baseline pin -----------------------------------------------------------------
-
-
-def panel_section(panel: ChurnPanel) -> dict:
-    cells = {}
-    for cell in panel.cells:
-        cells[f"{cell.app}/{cell.scenario}"] = {
-            "sim_elapsed": cell.sim_elapsed,
-            "metrics": cell.metrics,
-            "membership_changes": cell.membership_changes,
-            "final_processes": cell.final_processes,
-        }
+def _scenario_values(result, runtime, controller, snapshot) -> Values:
     return {
-        "start_nodes": panel.start_nodes,
-        "cells": cells,
-        "wall_seconds_total": round(panel.wall_total, 2),
+        "sim_elapsed": result.elapsed,
+        "metrics": {name: snapshot.get(name, 0.0) for name in _PINNED_METRICS},
+        # membership log length (joins + drains + storm victims applied)
+        "membership_changes": len(controller.log) if controller is not None else 0,
+        "final_processes": len(runtime.alive_processes()),
     }
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+class ChurnPanel:
+    name = "churn"
+    baseline_path = BASELINE_ROOT / "BENCH_churn_baseline.json"
 
+    def cells(self, mode: str) -> list[str]:
+        return list(ALLSCALE)
 
-def write_baseline(
-    panel: ChurnPanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    """Merge this run's mode section into the baseline file."""
-    path = path or BASELINE_PATH
-    baseline = load_baseline(path) or {
-        "schema": CHURN_SCHEMA_VERSION,
-        "modes": {},
-    }
-    baseline["schema"] = CHURN_SCHEMA_VERSION
-    baseline["modes"][panel.mode] = panel_section(panel)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def semantic_problems(panel: ChurnPanel) -> list[str]:
-    """Model-level sanity gates a run must clear to be pinned."""
-    problems: list[str] = []
-    for cell in panel.cells:
-        key = f"{cell.app}/{cell.scenario}"
-        if cell.sentinel_violations:
-            problems.append(
-                f"{key}: {cell.sentinel_violations} sentinel violation(s)"
+    def run_cell(self, mode: str, cell: str) -> Values:
+        """Every scenario of one app; its baseline run sizes the schedules."""
+        nodes, grid = _grid(mode)
+        workload = _workloads(mode)[cell]
+        runs = [("baseline", 0, 0), ("scale_out", 0, 0), ("drain", 0, 0)]
+        runs += [(f"storm{s}xr{r}", r, s) for r, s in grid]
+        scenarios: Values = {}
+        sentinel: dict[str, int | None] = {}
+        total = 0.0
+        for scenario, rate, storm in runs:
+            result, runtime, ctrl, snapshot, sentinel[scenario] = _run_cell(
+                cell, workload, nodes, _schedule(scenario, total, rate, storm)
             )
-        if cell.scenario == "baseline":
-            if cell.metrics.get("elastic.churn_events"):
-                problems.append(f"{key}: baseline saw churn events")
-            continue
-        if not cell.metrics.get("elastic.churn_events"):
-            problems.append(f"{key}: no churn events applied")
-        if cell.scenario == "scale_out" and not cell.metrics.get(
-            "elastic.joins"
-        ):
-            problems.append(f"{key}: no node joined")
-        if cell.scenario == "drain":
-            if not cell.metrics.get("elastic.drains"):
-                problems.append(f"{key}: no node drained")
-            if cell.metrics.get("elastic.evacuated_bytes", 0.0) <= 0.0:
-                problems.append(f"{key}: drain evacuated no data")
-        if cell.scenario.startswith("storm") and not cell.metrics.get(
-            "elastic.failures"
-        ):
-            problems.append(f"{key}: storm failed no nodes")
-    return problems
+            if scenario == "baseline":
+                total = runtime.now
+            scenarios[scenario] = _scenario_values(result, runtime, ctrl, snapshot)
+        return {
+            "start_nodes": nodes,
+            "scenarios": scenarios,
+            # None where no sentinel was attached
+            UNPINNED: {"sentinel_violations": sentinel},
+        }
 
+    def gates(self, mode: str, results: Results) -> list[str]:
+        """Model-level sanity gates a run must clear to be pinned."""
+        problems: list[str] = []
+        for app, values in results.items():
+            violations = values.get(UNPINNED, {}).get("sentinel_violations", {})
+            for scenario, cell in values["scenarios"].items():
+                key, metrics = f"{app}/{scenario}", cell["metrics"]
+                if violations.get(scenario):
+                    problems.append(
+                        f"{key}: {violations[scenario]} sentinel violation(s)"
+                    )
+                if scenario == "baseline":
+                    if metrics.get("elastic.churn_events"):
+                        problems.append(f"{key}: baseline saw churn events")
+                    continue
+                if not metrics.get("elastic.churn_events"):
+                    problems.append(f"{key}: no churn events applied")
+                if scenario == "scale_out" and not metrics.get("elastic.joins"):
+                    problems.append(f"{key}: no node joined")
+                if scenario == "drain":
+                    if not metrics.get("elastic.drains"):
+                        problems.append(f"{key}: no node drained")
+                    if metrics.get("elastic.evacuated_bytes", 0.0) <= 0.0:
+                        problems.append(f"{key}: drain evacuated no data")
+                if scenario.startswith("storm") and not metrics.get(
+                    "elastic.failures"
+                ):
+                    problems.append(f"{key}: storm failed no nodes")
+        return problems
 
-def check_panel(panel: ChurnPanel, baseline: dict | None) -> list[str]:
-    """Exact comparison of simulated values against the committed pin."""
-    if baseline is None:
-        return [f"no baseline file at {BASELINE_PATH}"]
-    section = baseline.get("modes", {}).get(panel.mode)
-    if section is None:
-        return [f"baseline has no {panel.mode!r} section"]
-    problems = list(semantic_problems(panel))
-    if section.get("start_nodes") != panel.start_nodes:
-        problems.append(
-            f"start nodes changed: baseline {section.get('start_nodes')}, "
-            f"run {panel.start_nodes}"
+    def render(self, mode: str, results: Results) -> str:
+        attached = any(
+            count is not None
+            for values in results.values()
+            for count in values.get(UNPINNED, {})
+            .get("sentinel_violations", {})
+            .values()
         )
-    pinned = section.get("cells", {})
-    for cell in panel.cells:
-        key = f"{cell.app}/{cell.scenario}"
-        row = pinned.get(key)
-        if row is None:
-            problems.append(f"{key}: not in baseline")
-            continue
-        if cell.sim_elapsed != row.get("sim_elapsed"):
-            problems.append(
-                f"{key}: simulated elapsed changed "
-                f"(baseline {row.get('sim_elapsed')!r}, "
-                f"run {cell.sim_elapsed!r})"
-            )
-        for name, got in cell.metrics.items():
-            want = row.get("metrics", {}).get(name, 0.0)
-            if got != want:
-                problems.append(
-                    f"{key} {name}: changed (baseline {want!r}, run {got!r})"
-                )
-        for attr in ("membership_changes", "final_processes"):
-            if getattr(cell, attr) != row.get(attr):
-                problems.append(
-                    f"{key} {attr}: changed (baseline {row.get(attr)!r}, "
-                    f"run {getattr(cell, attr)!r})"
-                )
-    have = {f"{c.app}/{c.scenario}" for c in panel.cells}
-    for key in pinned:
-        if key not in have:
-            problems.append(f"{key}: in baseline but not in run")
-    pinned_total = section.get("wall_seconds_total")
-    if pinned_total:
-        limit = pinned_total * (1.0 + ELAPSED_TOLERANCE)
-        if panel.wall_total > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_total:.1f}s vs "
-                f"baseline {pinned_total:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    return problems
-
-
-def render_churn_summary(panel: ChurnPanel) -> str:
-    lines = [
-        f"Churn sweep ({panel.mode}: {panel.start_nodes} starting nodes"
-        + (", strict sentinel attached" if panel.sentinel_attached else "")
-        + ")"
-    ]
-    header = (
-        f"  {'app/scenario':<22} {'sim s':>10} {'events':>7} "
-        f"{'evac B':>10} {'restored B':>11} {'alive':>6}"
-    )
-    lines.append(header)
-    for cell in panel.cells:
-        lines.append(
-            f"  {cell.app + '/' + cell.scenario:<22} "
-            f"{cell.sim_elapsed:>10.5f} "
-            f"{cell.metrics.get('elastic.churn_events', 0.0):>7.0f} "
-            f"{cell.metrics.get('elastic.evacuated_bytes', 0.0):>10.0f} "
-            f"{cell.metrics.get('elastic.restored_bytes', 0.0):>11.0f} "
-            f"{cell.final_processes:>6}"
+        rows = {
+            f"{app}/{scenario}": {
+                "sim s": f"{cell['sim_elapsed']:.5f}",
+                "events": cell["metrics"].get("elastic.churn_events", 0.0),
+                "evac B": cell["metrics"].get("elastic.evacuated_bytes", 0.0),
+                "restored B": cell["metrics"].get("elastic.restored_bytes", 0.0),
+                "alive": cell["final_processes"],
+            }
+            for app, values in results.items()
+            for scenario, cell in values["scenarios"].items()
+        }
+        title = f"Churn sweep ({mode}" + (
+            ", strict sentinel attached)" if attached else ")"
         )
-    for app, wall in panel.wall_seconds.items():
-        lines.append(f"  {app:<8} {wall:7.1f}s wall")
-    lines.append(f"  {'total':<8} {panel.wall_total:7.1f}s wall")
-    return "\n".join(lines)
+        return render_rows(title, rows, "app/scenario")

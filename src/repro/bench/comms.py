@@ -1,28 +1,30 @@
-"""The ``--comms`` panel: what the communication layer buys per app.
+"""The ``comms`` panel: what the communication layer buys per app.
 
 Each application's AllScale port runs twice on the same cluster and
 workload — once with the paper-prototype per-piece messaging (the
 default) and once with transfer coalescing plus replica prefetch enabled
-— and the panel reports message counts, bytes moved, and simulated
+— and the cell reports message counts, bytes moved, and simulated
 wall-clock for both, plus the ``comms.*`` counters of the optimised run.
 
 The two runs must agree on *what* was computed and moved: identical
 work, identical data payload bytes.  Only message counts and timing may
 differ — that is the optimisation's contract, and
-``tests/test_determinism.py`` pins it per app while
-``BENCH_comms_baseline.json`` pins the panel's measured shape.
+``tests/test_determinism.py`` pins it per app.  The gates add the
+acceptance bar: at least 25% fewer messages per app (30% for TPC) with
+bulk messages, transfer plans and batched dispatches engaged.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from typing import Any
 
 from repro.apps.common import AppResult
-from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
-from repro.apps.stencil import StencilWorkload, stencil_allscale
-from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale
-from repro.runtime.config import RuntimeConfig
+from repro.apps.ipic3d import IPic3DWorkload
+from repro.apps.stencil import StencilWorkload
+from repro.apps.tpc import TPCWorkload, make_problem
+from repro.bench.panel import BASELINE_ROOT, Results, Values
+from repro.bench.report import render_rows
+from repro.bench.scaling import ALLSCALE, runtime_config
 from repro.sim.cluster import Cluster, meggie_like_spec
 
 #: fixed cluster size of the comms comparison (message effects are
@@ -30,11 +32,8 @@ from repro.sim.cluster import Cluster, meggie_like_spec
 #: counts and deltas, not scaling curves)
 COMMS_NODE_COUNT = 4
 
-#: schema version of the JSON baseline; bump on any row-shape change
-COMMS_SCHEMA_VERSION = 1
-
 #: metric keys copied verbatim from the optimised run into each row
-_ON_COUNTERS = (
+ON_COUNTERS = (
     "net.bulk_messages",
     "net.bulk_parts",
     "comms.coalesced_fetches",
@@ -52,194 +51,132 @@ _ON_COUNTERS = (
 )
 
 
-@dataclass
-class CommsPoint:
-    """One app's off-versus-on communication comparison."""
+def comms_row(app: str, off: dict, on: dict, counters: dict) -> Values:
+    """One app's off-versus-on comparison.
 
-    app: str
-    nodes: int
-    messages_off: float
-    messages_on: float
-    net_bytes_off: float
-    net_bytes_on: float
-    #: payload bytes that crossed address spaces (migrations + replications);
-    #: the optimisation must not change these
-    data_bytes_off: float
-    data_bytes_on: float
-    work_off: float
-    work_on: float
-    elapsed_off: float
-    elapsed_on: float
-    counters: dict = field(default_factory=dict)
+    ``off`` / ``on`` carry ``messages``, ``net_bytes``, ``data_bytes``
+    (payload that crossed address spaces), ``work`` and ``elapsed``.
+    """
+    row: Values = {"app": app, "nodes": COMMS_NODE_COUNT}
+    for key in ("messages", "net_bytes", "data_bytes", "work", "elapsed"):
+        row[f"{key}_off"], row[f"{key}_on"] = off[key], on[key]
+    reduction = 1.0 - on["messages"] / off["messages"] if off["messages"] else 0.0
+    delta = on["elapsed"] / off["elapsed"] - 1.0 if off["elapsed"] else 0.0
+    row["message_reduction"] = round(reduction, 4)
+    row["elapsed_delta"] = round(delta, 4)
+    row["outputs_identical"] = (
+        off["work"] == on["work"] and off["data_bytes"] == on["data_bytes"]
+    )
+    row["counters"] = counters
+    return row
 
-    @property
-    def message_reduction(self) -> float:
-        """Fraction of network messages the comm layer removed."""
-        if not self.messages_off:
-            return 0.0
-        return 1.0 - self.messages_on / self.messages_off
 
-    @property
-    def elapsed_delta(self) -> float:
-        """Relative simulated wall-clock change (negative = faster)."""
-        if not self.elapsed_off:
-            return 0.0
-        return self.elapsed_on / self.elapsed_off - 1.0
-
-    @property
-    def outputs_identical(self) -> bool:
-        """Same work completed, same payload bytes moved."""
-        return (
-            self.work_off == self.work_on
-            and self.data_bytes_off == self.data_bytes_on
+def _workload(mode: str, app: str):
+    full = mode == "full"
+    if app == "stencil":
+        return StencilWorkload(
+            n_per_node=4_000 if full else 1_000, timesteps=2, functional=False
         )
-
-    def to_row(self) -> dict:
-        return {
-            "app": self.app,
-            "nodes": self.nodes,
-            "messages_off": self.messages_off,
-            "messages_on": self.messages_on,
-            "message_reduction": round(self.message_reduction, 4),
-            "net_bytes_off": self.net_bytes_off,
-            "net_bytes_on": self.net_bytes_on,
-            "data_bytes_off": self.data_bytes_off,
-            "data_bytes_on": self.data_bytes_on,
-            "work_off": self.work_off,
-            "work_on": self.work_on,
-            "elapsed_off": self.elapsed_off,
-            "elapsed_on": self.elapsed_on,
-            "elapsed_delta": round(self.elapsed_delta, 4),
-            "outputs_identical": self.outputs_identical,
-            "counters": dict(self.counters),
-        }
-
-
-def _config(enabled: bool) -> RuntimeConfig:
-    # mirror the Fig. 7 harness knobs so the panel measures the same runs
-    return RuntimeConfig(
-        functional=False,
-        oversubscription=2,
-        comm_coalescing=enabled,
-        replica_prefetch=enabled,
-    )
-
-
-def _measure(app: str, run, nodes: int) -> CommsPoint:
-    """Run ``run(config)`` with the comm layer off then on; diff them."""
-    off: AppResult = run(_config(False))
-    on: AppResult = run(_config(True))
-    m_off = off.extras["runtime"].metrics.snapshot()
-    m_on = on.extras["runtime"].metrics.snapshot()
-    counters = {key: m_on.get(key, 0.0) for key in _ON_COUNTERS}
-    return CommsPoint(
-        app=app,
-        nodes=nodes,
-        messages_off=m_off.get("net.messages", 0.0),
-        messages_on=m_on.get("net.messages", 0.0),
-        net_bytes_off=m_off.get("net.bytes", 0.0),
-        net_bytes_on=m_on.get("net.bytes", 0.0),
-        data_bytes_off=float(off.extras["runtime"].data_bytes_moved()),
-        data_bytes_on=float(on.extras["runtime"].data_bytes_moved()),
-        work_off=off.work,
-        work_on=on.work,
-        elapsed_off=off.elapsed,
-        elapsed_on=on.elapsed,
-        counters=counters,
-    )
-
-
-def comms_panel(quick: bool = False, smoke: bool = False) -> list[CommsPoint]:
-    """Off-versus-on comparison for all three applications."""
-    reduced = quick or smoke
-    nodes = COMMS_NODE_COUNT
-    cluster = lambda: Cluster(meggie_like_spec(nodes))  # noqa: E731
-
-    stencil_wl = StencilWorkload(
-        n_per_node=4_000 if not reduced else 1_000,
-        timesteps=2,
-        functional=False,
-    )
-    ipic3d_wl = IPic3DWorkload(
-        particles_per_node=48_000_000 if not reduced else 12_000_000,
-        cells_per_node_side=8 if not reduced else 4,
-        timesteps=2,
-    )
-    tpc_wl = TPCWorkload(
-        total_points=2**29 if not reduced else 2**25,
-        depth=16 if not reduced else 12,
-        queries_total=128 if not reduced else 64,
+    if app == "ipic3d":
+        return IPic3DWorkload(
+            particles_per_node=48_000_000 if full else 12_000_000,
+            cells_per_node_side=8 if full else 4,
+            timesteps=2,
+        )
+    return TPCWorkload(
+        total_points=2**29 if full else 2**25,
+        depth=16 if full else 12,
+        queries_total=128 if full else 64,
         functional=False,
         visit_flops=150.0,
         point_flops=30.0,
-        task_subtree_height=9 if not reduced else 7,
+        task_subtree_height=9 if full else 7,
     )
-    tpc_problem = make_problem(tpc_wl, nodes)
-
-    return [
-        _measure(
-            "stencil",
-            lambda cfg: stencil_allscale(cluster(), stencil_wl, cfg),
-            nodes,
-        ),
-        _measure(
-            "ipic3d",
-            lambda cfg: ipic3d_allscale(cluster(), ipic3d_wl, cfg),
-            nodes,
-        ),
-        _measure(
-            "tpc",
-            lambda cfg: tpc_allscale(
-                cluster(), tpc_wl, cfg, problem=tpc_problem
-            ),
-            nodes,
-        ),
-    ]
 
 
-def render_comms(points: list[CommsPoint]) -> str:
-    """The panel as a fixed-width table."""
-    from repro.bench.report import render_table
-
-    rows = []
-    for p in points:
-        rows.append(
-            (
-                p.app,
-                str(p.nodes),
-                f"{p.messages_off:.0f}",
-                f"{p.messages_on:.0f}",
-                f"{p.message_reduction * 100.0:+.1f}%",
-                f"{p.data_bytes_off:.0f}",
-                f"{p.elapsed_delta * 100.0:+.1f}%",
-                "yes" if p.outputs_identical else "NO",
-            )
-        )
-    title = (
-        "Communication layer — per-app deltas "
-        "(coalescing + prefetch vs. prototype messaging)"
-    )
-    body = render_table(
-        [
-            "app",
-            "nodes",
-            "msgs off",
-            "msgs on",
-            "msg delta",
-            "data bytes",
-            "time delta",
-            "outputs ==",
-        ],
-        rows,
-    )
-    return f"{title}\n{body}"
-
-
-def comms_to_json(points: list[CommsPoint]) -> str:
-    """Serialize the panel for ``BENCH_comms_baseline.json``."""
-    payload = {
-        "schema": COMMS_SCHEMA_VERSION,
-        "nodes": COMMS_NODE_COUNT,
-        "apps": {p.app: p.to_row() for p in points},
+def _measured(result: AppResult) -> dict:
+    runtime = result.extras["runtime"]
+    snapshot = runtime.metrics.snapshot()
+    return {
+        "messages": snapshot.get("net.messages", 0.0),
+        "net_bytes": snapshot.get("net.bytes", 0.0),
+        "data_bytes": float(runtime.data_bytes_moved()),
+        "work": result.work,
+        "elapsed": result.elapsed,
+        "snapshot": snapshot,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class CommsPanel:
+    name = "comms"
+    baseline_path = BASELINE_ROOT / "BENCH_comms_baseline.json"
+
+    def cells(self, mode: str) -> list[str]:
+        return list(ALLSCALE)
+
+    def run_cell(self, mode: str, cell: str) -> Values:
+        """The app with the comm layer off, then on, on identical inputs."""
+        workload = _workload(mode, cell)
+        extra: dict[str, Any] = {}
+        if cell == "tpc":
+            extra["problem"] = make_problem(workload, COMMS_NODE_COUNT)
+        off, on = (
+            _measured(
+                ALLSCALE[cell](
+                    Cluster(meggie_like_spec(COMMS_NODE_COUNT)),
+                    workload,
+                    runtime_config(comm_coalescing=enabled, replica_prefetch=enabled),
+                    **extra,
+                )
+            )
+            for enabled in (False, True)
+        )
+        counters = {key: on["snapshot"].get(key, 0.0) for key in ON_COUNTERS}
+        return comms_row(cell, off, on, counters)
+
+    def gates(self, mode: str, results: Results) -> list[str]:
+        problems: list[str] = []
+        for app, row in results.items():
+            counters = row["counters"]
+            claims = {
+                "optimised run changed outputs or moved bytes": (
+                    row["outputs_identical"]
+                ),
+                "message reduction below 25%": row["message_reduction"] >= 0.25,
+                "no bulk messages": counters["net.bulk_messages"] > 0,
+                "no batched dispatches": counters["comms.batched_dispatches"] > 0,
+            }
+            if app == "tpc":
+                claims["message reduction below 30%"] = (
+                    row["message_reduction"] >= 0.30
+                )
+            if row["data_bytes_off"]:
+                # apps that move payload do it through audited plans;
+                # TPC's kd-tree is pre-placed, so its win is pure
+                # dispatch batching and it never opens a plan
+                claims["no transfer plans"] = counters["comms.plans"] > 0
+                claims["planned moves do not account for the payload"] = (
+                    counters["comms.moved_bytes"] == row["data_bytes_on"]
+                )
+            problems += [f"{app}: {c}" for c, holds in claims.items() if not holds]
+        return problems
+
+    def render(self, mode: str, results: Results) -> str:
+        rows = {
+            app: {
+                "nodes": row["nodes"],
+                "msgs off": f"{row['messages_off']:.0f}",
+                "msgs on": f"{row['messages_on']:.0f}",
+                "msg delta": f"{row['message_reduction'] * 100.0:+.1f}%",
+                "data bytes": f"{row['data_bytes_off']:.0f}",
+                "time delta": f"{row['elapsed_delta'] * 100.0:+.1f}%",
+                "outputs ==": "yes" if row["outputs_identical"] else "NO",
+            }
+            for app, row in results.items()
+        }
+        return render_rows(
+            "Communication layer — per-app deltas "
+            "(coalescing + prefetch vs. prototype messaging)",
+            rows,
+            "app",
+        )

@@ -1,66 +1,38 @@
-"""The ``--placement`` panel: offline planner vs. online policies.
+"""The ``placement`` panel: offline planner vs. online policies.
 
-A policy *tournament*: every application × topology × policy combination
-runs the same workload, and the leaderboard reports simulated wall
-clock, message count, bytes moved (wire payload plus migrated/replicated
-fragment bytes), and load-balancer migrations.  The contenders:
+A policy *tournament*, one cell per application: on every topology the
+``planned`` policy (:class:`~repro.placement.policy.PlannedPolicy`
+carrying a fresh offline plan) races ``data-aware`` (the runtime's
+default) and the ``round-robin`` / ``random`` scheduler ablations, and
+the leaderboard reports simulated wall clock, messages, bytes moved (wire
+payload plus migrated/replicated fragment bytes) and balancer migrations.
 
-* ``planned`` — :class:`~repro.placement.policy.PlannedPolicy` carrying
-  a fresh offline :class:`~repro.placement.plan.PlacementPlan` solved
-  per app × topology;
-* ``data-aware`` — the runtime's default online policy;
-* ``round-robin`` / ``random`` — the scheduler-ablation baselines.
-
-The online policies are deliberately *shared instances* across all
-races: the ``reset()`` contract (invoked at runtime construction) must
-make back-to-back runs identical, and this panel's exact-match baseline
-is the standing proof.
-
-Results are pinned in ``BENCH_placement_baseline.json``.  ``--check``
-demands exact simulated values (the simulator is deterministic) and
-enforces the planner's headline guarantee: ``planned`` moves strictly
-fewer bytes than both ablation baselines for every application.
+The online policies are deliberately *shared instances* across a
+panel's races: the ``reset()`` contract (invoked at runtime
+construction) must make back-to-back runs identical, and the exact-match
+baseline is the standing proof.  The gates hold the planner's headline
+guarantee: ``planned`` moves strictly fewer bytes than both ablations.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from repro.apps.common import AppResult
-from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_program
-from repro.apps.stencil import StencilWorkload, stencil_allscale, stencil_program
-from repro.apps.tpc import (
-    TPCProblem,
-    TPCWorkload,
-    make_problem,
-    tpc_allscale,
-    tpc_program,
-)
-from repro.bench.scaling import panel_mode
+from repro.apps.ipic3d import IPic3DWorkload, ipic3d_program
+from repro.apps.stencil import StencilWorkload, stencil_program
+from repro.apps.tpc import TPCProblem, TPCWorkload, make_problem, tpc_program
+from repro.bench.panel import BASELINE_ROOT, Results, Values
+from repro.bench.report import render_rows
+from repro.bench.scaling import ALLSCALE, runtime_config
 from repro.placement import PlannedPolicy, plan_placement
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import (
     DataAwarePolicy,
     RandomPolicy,
     RoundRobinPolicy,
     SchedulingPolicy,
 )
-from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
-
-#: schema version of the JSON baseline; bump on any section-shape change
-PLACEMENT_SCHEMA_VERSION = 1
-
-#: committed location of the pinned tournament
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "BENCH_placement_baseline.json"
-)
-
-#: relative host wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
+from repro.sim.cluster import Cluster, meggie_like_spec
 
 #: name → (node count, fat-tree switch radix).  Three shapes: a single
 #: edge-switch group, a deep skinny tree (every hop counts), and a wide
@@ -80,385 +52,154 @@ POLICIES = ("planned", "data-aware", "round-robin", "random")
 TOURNAMENT_CORES = 4
 
 
-@dataclass
-class RaceResult:
-    """One policy's metrics on one app × topology race."""
-
-    app: str
-    topology: str
-    policy: str
-    #: simulated seconds (exact, deterministic)
-    elapsed: float
-    messages: float
-    bytes_moved: float
-    migrations: float
-    preplaced: float
-
-    def values(self) -> dict[str, float]:
-        return {
-            "elapsed": self.elapsed,
-            "messages": self.messages,
-            "bytes_moved": self.bytes_moved,
-            "migrations": self.migrations,
-            "preplaced": self.preplaced,
-        }
+#: balancer period per app, scaled to the app's simulated duration
+BALANCER_INTERVAL = {"stencil": 2e-4, "ipic3d": 20.0, "tpc": 2e-3}
 
 
-@dataclass
-class PlacementPanel:
-    """One complete tournament at one mode."""
-
-    mode: str
-    results: list[RaceResult] = field(default_factory=list)
-    #: (app, topology) → planner digest
-    plans: dict[str, dict] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    def race(self, app: str, topology: str, policy: str) -> RaceResult:
-        for result in self.results:
-            if (result.app, result.topology, result.policy) == (
-                app,
-                topology,
-                policy,
-            ):
-                return result
-        raise KeyError(f"no race {app}/{topology}/{policy}")
-
-
-def _spec(nodes: int, radix: int) -> ClusterSpec:
-    return replace(
-        meggie_like_spec(nodes),
-        switch_radix=radix,
-        cores_per_node=TOURNAMENT_CORES,
-    )
-
-
-def _config(balancer_interval: float) -> RuntimeConfig:
-    return RuntimeConfig(
+def _workload(mode: str, app: str):
+    if app == "stencil":
+        n, steps = {"full": (2_000, 3), "quick": (1_000, 2), "smoke": (500, 2)}[mode]
+        return StencilWorkload(n_per_node=n, timesteps=steps, functional=False)
+    if app == "ipic3d":
+        particles, cells, steps = {
+            "full": (24_000_000, 6, 2),
+            "quick": (12_000_000, 4, 2),
+            "smoke": (6_000_000, 4, 1),
+        }[mode]
+        return IPic3DWorkload(
+            particles_per_node=particles,
+            cells_per_node_side=cells,
+            timesteps=steps,
+        )
+    log_points, depth, queries, height = {
+        "full": (27, 14, 96, 8),
+        "quick": (25, 12, 64, 7),
+        "smoke": (23, 10, 32, 6),
+    }[mode]
+    return TPCWorkload(
+        total_points=2**log_points,
+        depth=depth,
+        queries_total=queries,
         functional=False,
-        oversubscription=2,
-        load_balancing=True,
-        balancer_interval=balancer_interval,
+        visit_flops=150.0,
+        point_flops=30.0,
+        task_subtree_height=height,
     )
 
 
-@dataclass
-class _AppSetup:
-    """One app's workload, program builder, and driver at one mode."""
-
-    name: str
-    #: balancer period, scaled to the app's simulated duration
-    balancer_interval: float
-    program: object  # Callable[[int], TaskProgram]
-    run: object  # Callable[[ClusterSpec, SchedulingPolicy], AppResult]
-
-
-def _apps(mode: str) -> list[_AppSetup]:
-    if mode == "full":
-        stencil_wl = StencilWorkload(
-            n_per_node=2_000, timesteps=3, functional=False
-        )
-        ipic3d_wl = IPic3DWorkload(
-            particles_per_node=24_000_000, cells_per_node_side=6, timesteps=2
-        )
-        tpc_wl = TPCWorkload(
-            total_points=2**27,
-            depth=14,
-            queries_total=96,
-            functional=False,
-            visit_flops=150.0,
-            point_flops=30.0,
-            task_subtree_height=8,
-        )
-    elif mode == "quick":
-        stencil_wl = StencilWorkload(
-            n_per_node=1_000, timesteps=2, functional=False
-        )
-        ipic3d_wl = IPic3DWorkload(
-            particles_per_node=12_000_000, cells_per_node_side=4, timesteps=2
-        )
-        tpc_wl = TPCWorkload(
-            total_points=2**25,
-            depth=12,
-            queries_total=64,
-            functional=False,
-            visit_flops=150.0,
-            point_flops=30.0,
-            task_subtree_height=7,
-        )
-    else:  # smoke
-        stencil_wl = StencilWorkload(
-            n_per_node=500, timesteps=2, functional=False
-        )
-        ipic3d_wl = IPic3DWorkload(
-            particles_per_node=6_000_000, cells_per_node_side=4, timesteps=1
-        )
-        tpc_wl = TPCWorkload(
-            total_points=2**23,
-            depth=10,
-            queries_total=32,
-            functional=False,
-            visit_flops=150.0,
-            point_flops=30.0,
-            task_subtree_height=6,
-        )
-
-    problems: dict[int, TPCProblem] = {}
-
-    def tpc_problem(nodes: int) -> TPCProblem:
-        if nodes not in problems:
-            problems[nodes] = make_problem(tpc_wl, nodes)
-        return problems[nodes]
-
-    def run_stencil(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return stencil_allscale(
-            Cluster(spec), stencil_wl, _config(2e-4), policy
-        )
-
-    def run_ipic3d(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return ipic3d_allscale(
-            Cluster(spec), ipic3d_wl, _config(20.0), policy
-        )
-
-    def run_tpc(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return tpc_allscale(
-            Cluster(spec),
-            tpc_wl,
-            _config(2e-3),
-            policy,
-            problem=tpc_problem(spec.num_nodes),
-        )
-
-    return [
-        _AppSetup(
-            "stencil",
-            2e-4,
-            lambda nodes: stencil_program(
-                stencil_wl, nodes, cores_per_node=TOURNAMENT_CORES
-            ),
-            run_stencil,
-        ),
-        _AppSetup(
-            "ipic3d",
-            20.0,
-            lambda nodes: ipic3d_program(
-                ipic3d_wl, nodes, cores_per_node=TOURNAMENT_CORES
-            ),
-            run_ipic3d,
-        ),
-        _AppSetup(
-            "tpc",
-            2e-3,
-            lambda nodes: tpc_program(tpc_problem(nodes)),
-            run_tpc,
-        ),
-    ]
-
-
-def _measure(
-    app: str, topology: str, policy_name: str, result: AppResult
-) -> RaceResult:
+def _race(result: AppResult) -> Values:
     runtime = result.extras["runtime"]
     counters = runtime.metrics
-    return RaceResult(
-        app=app,
-        topology=topology,
-        policy=policy_name,
-        elapsed=result.elapsed,
-        messages=counters.counter("net.messages"),
-        bytes_moved=(
-            counters.counter("net.bytes") + runtime.data_bytes_moved()
-        ),
-        migrations=counters.counter("balancer.migrations"),
-        preplaced=counters.counter("placement.preplaced_items"),
-    )
-
-
-def placement_panel(
-    quick: bool = False, smoke: bool = False
-) -> PlacementPanel:
-    """Run the full tournament: apps × topologies × policies."""
-    mode = panel_mode(quick, smoke)
-    panel = PlacementPanel(mode=mode)
-    started = time.perf_counter()
-    # shared across every race on purpose: reset() must isolate runs
-    online: dict[str, SchedulingPolicy] = {
-        "data-aware": DataAwarePolicy(),
-        "round-robin": RoundRobinPolicy(),
-        "random": RandomPolicy(seed=0),
-    }
-    for setup in _apps(mode):
-        for topo_name, (nodes, radix) in TOPOLOGIES.items():
-            spec = _spec(nodes, radix)
-            plan = plan_placement(setup.program(nodes), Cluster(spec))
-            panel.plans[f"{setup.name}/{topo_name}"] = plan.summary()
-            for policy_name in POLICIES:
-                policy: SchedulingPolicy
-                if policy_name == "planned":
-                    policy = PlannedPolicy(plan)
-                else:
-                    policy = online[policy_name]
-                panel.results.append(
-                    _measure(
-                        setup.name,
-                        topo_name,
-                        policy_name,
-                        setup.run(spec, policy),
-                    )
-                )
-    panel.wall_seconds = time.perf_counter() - started
-    return panel
-
-
-def semantic_problems(panel: PlacementPanel) -> list[str]:
-    """The planner's headline claims, independent of any baseline.
-
-    ``planned`` must move strictly fewer bytes than *both* ablation
-    baselines on every app × topology, and must pre-distribute at least
-    one item everywhere (proof the plan actually engaged).
-    """
-    problems: list[str] = []
-    for setup_app in ("stencil", "ipic3d", "tpc"):
-        for topo_name in TOPOLOGIES:
-            try:
-                planned = panel.race(setup_app, topo_name, "planned")
-            except KeyError:
-                problems.append(f"{setup_app}/{topo_name}: planned race missing")
-                continue
-            if planned.preplaced < 1:
-                problems.append(
-                    f"{setup_app}/{topo_name}: plan pre-placed no items"
-                )
-            for rival_name in ("round-robin", "random"):
-                rival = panel.race(setup_app, topo_name, rival_name)
-                if not planned.bytes_moved < rival.bytes_moved:
-                    problems.append(
-                        f"{setup_app}/{topo_name}: planned moved "
-                        f"{planned.bytes_moved:.0f} bytes, not fewer than "
-                        f"{rival_name}'s {rival.bytes_moved:.0f}"
-                    )
-    return problems
-
-
-# -- baseline ------------------------------------------------------------------
-
-
-def panel_section(panel: PlacementPanel) -> dict:
-    races = [
-        {
-            "app": result.app,
-            "topology": result.topology,
-            "policy": result.policy,
-            **result.values(),
-        }
-        for result in panel.results
-    ]
     return {
-        "topologies": {
-            name: {"nodes": nodes, "radix": radix}
-            for name, (nodes, radix) in TOPOLOGIES.items()
-        },
-        "races": races,
-        "plans": panel.plans,
-        "wall_seconds": round(panel.wall_seconds, 2),
+        # simulated seconds (exact, deterministic)
+        "elapsed": result.elapsed,
+        "messages": counters.counter("net.messages"),
+        "bytes_moved": counters.counter("net.bytes") + runtime.data_bytes_moved(),
+        "migrations": counters.counter("balancer.migrations"),
+        "preplaced": counters.counter("placement.preplaced_items"),
     }
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+class PlacementPanel:
+    name = "placement"
+    baseline_path = BASELINE_ROOT / "BENCH_placement_baseline.json"
 
+    def __init__(self) -> None:
+        # shared across every race on purpose: reset() must isolate runs
+        self.online: dict[str, SchedulingPolicy] = {
+            "data-aware": DataAwarePolicy(),
+            "round-robin": RoundRobinPolicy(),
+            "random": RandomPolicy(seed=0),
+        }
 
-def write_baseline(
-    panel: PlacementPanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    """Merge this run's section into the baseline file (kept per mode)."""
-    path = path or BASELINE_PATH
-    baseline = load_baseline(path) or {
-        "schema": PLACEMENT_SCHEMA_VERSION,
-        "modes": {},
-    }
-    baseline["schema"] = PLACEMENT_SCHEMA_VERSION
-    baseline["modes"][panel.mode] = panel_section(panel)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
+    def cells(self, mode: str) -> list[str]:
+        return list(ALLSCALE)
 
-
-def check_panel(panel: PlacementPanel, baseline: dict | None) -> list[str]:
-    """Exact-match the committed baseline, then the semantic claims."""
-    if baseline is None:
-        return [f"no baseline file at {BASELINE_PATH}"]
-    section = baseline.get("modes", {}).get(panel.mode)
-    if section is None:
-        return [f"baseline has no {panel.mode!r} section"]
-    problems: list[str] = []
-    pinned = {
-        (row["app"], row["topology"], row["policy"]): row
-        for row in section.get("races", ())
-    }
-    for result in panel.results:
-        key = (result.app, result.topology, result.policy)
-        row = pinned.get(key)
-        if row is None:
-            problems.append(f"{'/'.join(key)}: not in baseline")
-            continue
-        for metric, got in result.values().items():
-            want = row.get(metric)
-            if got != want:
-                problems.append(
-                    f"{'/'.join(key)} {metric}: output changed "
-                    f"(baseline {want!r}, run {got!r})"
+    def run_cell(self, mode: str, cell: str) -> Values:
+        """One app on every topology: the plan, then every policy's race."""
+        workload = _workload(mode, cell)
+        values: Values = {}
+        for topology, (nodes, radix) in TOPOLOGIES.items():
+            cores = TOURNAMENT_CORES
+            spec = replace(
+                meggie_like_spec(nodes), switch_radix=radix, cores_per_node=cores
+            )
+            extra: dict[str, TPCProblem] = {}
+            if cell == "tpc":
+                extra["problem"] = make_problem(workload, nodes)
+                program = tpc_program(extra["problem"])
+            elif cell == "stencil":
+                program = stencil_program(workload, nodes, cores_per_node=cores)
+            else:
+                program = ipic3d_program(workload, nodes, cores_per_node=cores)
+            plan = plan_placement(program, Cluster(spec))
+            races: Values = {}
+            for name in POLICIES:
+                policy = PlannedPolicy(plan) if name == "planned" else self.online[name]
+                config = runtime_config(
+                    load_balancing=True, balancer_interval=BALANCER_INTERVAL[cell]
                 )
-    for key in pinned:
-        if key not in {
-            (r.app, r.topology, r.policy) for r in panel.results
-        }:
-            problems.append(f"{'/'.join(key)}: in baseline but not run")
-    pinned_wall = section.get("wall_seconds")
-    if pinned_wall:
-        limit = pinned_wall * (1.0 + ELAPSED_TOLERANCE)
-        if panel.wall_seconds > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_seconds:.1f}s vs "
-                f"baseline {pinned_wall:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    problems.extend(semantic_problems(panel))
-    return problems
-
-
-def render_placement_leaderboard(panel: PlacementPanel) -> str:
-    """Per app × topology leaderboard, best simulated wall clock first."""
-    lines = [f"Placement tournament ({panel.mode})"]
-    header = (
-        f"  {'policy':<12} {'wall(sim)':>12} {'messages':>10} "
-        f"{'bytes moved':>14} {'migrations':>10}"
-    )
-    for setup_app in ("stencil", "ipic3d", "tpc"):
-        for topo_name, (nodes, radix) in TOPOLOGIES.items():
-            rows = sorted(
-                (
-                    r
-                    for r in panel.results
-                    if r.app == setup_app and r.topology == topo_name
-                ),
-                key=lambda r: (r.elapsed, r.policy),
-            )
-            if not rows:
-                continue
-            lines.append(
-                f"{setup_app} @ {topo_name} "
-                f"({nodes} nodes, radix {radix})"
-            )
-            lines.append(header)
-            for row in rows:
-                lines.append(
-                    f"  {row.policy:<12} {row.elapsed:>12.6f} "
-                    f"{row.messages:>10.0f} {row.bytes_moved:>14.0f} "
-                    f"{row.migrations:>10.0f}"
+                races[name] = _race(
+                    ALLSCALE[cell](Cluster(spec), workload, config, policy, **extra)
                 )
-            lines.append("")
-    lines.append(f"(tournament ran in {panel.wall_seconds:.1f}s wall time)")
-    return "\n".join(lines)
+            values[topology] = {
+                "nodes": nodes,
+                "radix": radix,
+                "plan": plan.summary(),
+                "races": races,
+            }
+        return values
+
+    def gates(self, mode: str, results: Results) -> list[str]:
+        """The planner's headline claims, independent of any baseline.
+
+        ``planned`` must move strictly fewer bytes than *both* ablation
+        baselines on every app × topology, and must pre-distribute at
+        least one item everywhere (proof the plan actually engaged).
+        """
+        problems: list[str] = []
+        for app in ALLSCALE:
+            for topology in TOPOLOGIES:
+                key = f"{app}/{topology}"
+                races = results.get(app, {}).get(topology, {}).get("races", {})
+                if "planned" not in races:
+                    problems.append(f"{key}: planned race missing")
+                    continue
+                planned = races["planned"]
+                if planned["preplaced"] < 1:
+                    problems.append(f"{key}: plan pre-placed no items")
+                for rival_name in ("round-robin", "random"):
+                    rival = races[rival_name]
+                    if not planned["bytes_moved"] < rival["bytes_moved"]:
+                        problems.append(
+                            f"{key}: planned moved "
+                            f"{planned['bytes_moved']:.0f} bytes, not fewer "
+                            f"than {rival_name}'s {rival['bytes_moved']:.0f}"
+                        )
+        return problems
+
+    def render(self, mode: str, results: Results) -> str:
+        """Per app × topology leaderboard, best simulated wall clock first."""
+        tables = [f"Placement tournament ({mode})"]
+        for app, topologies in results.items():
+            for topology, entry in topologies.items():
+                ranked = sorted(
+                    entry["races"].items(), key=lambda kv: (kv[1]["elapsed"], kv[0])
+                )
+                tables.append(
+                    render_rows(
+                        f"{app} @ {topology} "
+                        f"({entry['nodes']} nodes, radix {entry['radix']})",
+                        {
+                            policy: {
+                                "wall(sim)": f"{race['elapsed']:.6f}",
+                                "messages": f"{race['messages']:.0f}",
+                                "bytes moved": f"{race['bytes_moved']:.0f}",
+                                "migrations": f"{race['migrations']:.0f}",
+                            }
+                            for policy, race in ranked
+                        },
+                        "policy",
+                    )
+                )
+        return "\n\n".join(tables)

@@ -1,42 +1,32 @@
-"""Rendering of benchmark results as ASCII tables and CSV."""
+"""Rendering of benchmark results as ASCII tables."""
 
 from __future__ import annotations
 
-import io
+from dataclasses import astuple
 from typing import Sequence
 
-from repro.bench.harness import ScalingSeries
 from repro.bench.tables import Table1Row
-from repro.regions.kernel import get_kernel
 
 
-def render_table(
-    headers: Sequence[str], rows: Sequence[Sequence[str]]
-) -> str:
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Plain fixed-width ASCII table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(str(cell)))
-    lines = []
-    header = "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers))
-    lines.append(header)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append(
-            "  ".join(str(cell).ljust(widths[k]) for k, cell in enumerate(row))
-        )
+    table = [list(headers), *([str(cell) for cell in row] for row in rows)]
+    widths = [max(len(row[k]) for row in table) for k in range(len(headers))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:
     return render_table(
         ["Name", "Description", "Data Structure", "Problem Size", "Metric"],
-        [row.as_tuple() for row in rows],
+        [astuple(row) for row in rows],
     )
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: object) -> str:
+    if not isinstance(value, float):
+        return str(value)
     if value >= 1e6:
         return f"{value:.4g}"
     if value >= 100:
@@ -44,86 +34,11 @@ def _fmt(value: float) -> str:
     return f"{value:.3g}"
 
 
-def render_series(series: ScalingSeries) -> str:
-    """One Fig. 7 panel as a table: nodes | AllScale | MPI | linear."""
-    linear = series.linear("allscale")
-    rows = []
-    for point, ideal in zip(series.points, linear):
-        rows.append(
-            (
-                str(point.nodes),
-                _fmt(point.allscale),
-                _fmt(point.mpi),
-                _fmt(ideal),
-                f"{point.ratio:.2f}",
-            )
-        )
-    title = f"Fig. 7 — {series.app} throughput [{series.metric}]"
-    body = render_table(
-        ["nodes", "AllScale", "MPI", "linear", "AS/MPI"], rows
-    )
-    return f"{title}\n{body}"
-
-
-def region_cache_stats() -> dict[str, int]:
-    """Region-kernel efficiency counters for benchmark reports.
-
-    Returns the ``region.cache_hits`` / ``region.cache_misses`` /
-    ``region.interned`` totals plus the per-op breakdown, so BENCH_*.json
-    files can track region-op efficiency across PRs.
-    """
-    return get_kernel().stats()
-
-
-def render_region_cache(stats: dict[str, int] | None = None) -> str:
-    """The kernel's per-op hit/miss counters as an ASCII table."""
-    if stats is None:
-        stats = region_cache_stats()
-    ops = sorted(
-        {
-            name.split(".")[1]
-            for name in stats
-            if name.count(".") == 2 and name.endswith(".hits")
-        }
-    )
-    rows = []
-    for op in ops:
-        hits = stats.get(f"region.{op}.hits", 0)
-        misses = stats.get(f"region.{op}.misses", 0)
-        total = hits + misses
-        rate = f"{hits / total:.1%}" if total else "-"
-        rows.append((op, str(hits), str(misses), rate))
-    hits = stats.get("region.cache_hits", 0)
-    misses = stats.get("region.cache_misses", 0)
-    total = hits + misses
-    rate = f"{hits / total:.1%}" if total else "-"
-    rows.append(("TOTAL", str(hits), str(misses), rate))
-    body = render_table(["op", "hits", "misses", "hit rate"], rows)
-    interned = stats.get("region.interned", 0)
-    return (
-        f"Region kernel cache ({interned} regions interned)\n{body}"
-    )
-
-
-def region_cache_csv(stats: dict[str, int] | None = None) -> str:
-    """CSV text with the raw region-kernel counters."""
-    if stats is None:
-        stats = region_cache_stats()
-    out = io.StringIO()
-    out.write("counter,value\n")
-    for name in sorted(stats):
-        out.write(f"{name},{stats[name]}\n")
-    return out.getvalue()
-
-
-def series_to_csv(series: ScalingSeries) -> str:
-    """CSV text with the panel's raw numbers."""
-    out = io.StringIO()
-    out.write("app,metric,nodes,allscale,mpi,linear\n")
-    linear = series.linear("allscale")
-    for point, ideal in zip(series.points, linear):
-        out.write(
-            f"{series.app},{series.metric},{point.nodes},"
-            f"{point.allscale!r},{point.mpi!r},{ideal!r}\n"
-        )
-    return out.getvalue()
+def render_rows(title: str, rows: dict[str, dict], corner: str = "") -> str:
+    """A dict of labelled rows as a table, one column per value key."""
+    columns = list(dict.fromkeys(key for row in rows.values() for key in row))
+    cells = [
+        [label, *(_fmt(row.get(key, "")) for key in columns)]
+        for label, row in rows.items()
+    ]
+    return f"{title}\n{render_table([corner, *columns], cells)}"

@@ -1,33 +1,19 @@
-"""The ``--service`` panel: multi-tenant replay pinned as an artifact.
+"""The ``service`` panel: multi-tenant replay pinned as an artifact.
 
-Two deterministic sub-panels, both pure simulation (exact goldens, not
-estimates):
-
-* **smoke** — replays the committed arrival trace
-  (``traces/multi_tenant_smoke.json``) through the in-process service
-  and pins per-tenant latency (mean queue wait, mean turnaround),
-  throughput, node-second totals, rejection counts by reason, and the
-  fairness index.
-* **contended** — replays the acceptance demo (3 tenants, 3:2:1
-  weights, 126 jobs arriving at once) and pins per-tenant committed
-  node-second shares at the 72-dispatch contended horizon, where the
-  stride scheduler's split must match the configured weights exactly.
-
-``--check`` compares a fresh run against
-``BENCH_service_baseline.json``: every simulated value must be
-*identical* (any drift is a scheduler behaviour change, not noise), the
-contended shares must sit within :data:`SHARE_TOLERANCE` of the
-configured weights, no racy job may ever be admitted, and host wall
-clock must not regress by more than :data:`ELAPSED_TOLERANCE`.
+Two deterministic cells, both pure simulation: ``smoke`` replays the
+committed arrival trace (``traces/multi_tenant_smoke.json``) and pins
+per-tenant latency, throughput, node-seconds, rejections by reason and
+the fairness index; ``contended`` replays the acceptance demo (3 tenants,
+3:2:1 weights, 126 jobs at once) and pins the committed node-second
+shares at the 72-dispatch horizon.  The gates: no racy job is ever
+admitted, and contended shares sit within :data:`SHARE_TOLERANCE` of
+the configured weights.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-from dataclasses import dataclass
-
+from repro.bench.panel import BASELINE_ROOT, Results, Values
+from repro.bench.report import render_rows
 from repro.service.trace import (
     DEMO_HORIZON_DISPATCHES,
     Trace,
@@ -35,182 +21,66 @@ from repro.service.trace import (
     replay,
 )
 
-#: schema version of the JSON baseline; bump on any section-shape change
-SERVICE_SCHEMA_VERSION = 1
-
-_REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-
-#: committed location of the pinned replay numbers
-BASELINE_PATH = _REPO_ROOT / "BENCH_service_baseline.json"
-
-#: the committed arrival trace the smoke sub-panel replays
-SMOKE_TRACE_PATH = _REPO_ROOT / "traces" / "multi_tenant_smoke.json"
-
-#: relative wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
+#: the committed arrival trace the smoke cell replays
+SMOKE_TRACE_PATH = BASELINE_ROOT / "traces" / "multi_tenant_smoke.json"
 
 #: maximum relative deviation of an observed contended share from the
-#: configured weight share (the ISSUE's 10% acceptance bound)
+#: configured weight share (the 10% acceptance bound)
 SHARE_TOLERANCE = 0.10
 
 
-@dataclass
 class ServicePanel:
-    """Both sub-panel reports plus host timing."""
+    name = "service"
+    baseline_path = BASELINE_ROOT / "BENCH_service_baseline.json"
 
-    smoke: dict
-    contended: dict
-    wall_seconds: float
+    def cells(self, mode: str) -> list[str]:
+        return ["smoke", "contended"]
 
+    def run_cell(self, mode: str, cell: str) -> Values:
+        if cell == "smoke":
+            return replay(Trace.load(str(SMOKE_TRACE_PATH)))
+        return replay(demo_trace(), horizon_dispatches=DEMO_HORIZON_DISPATCHES)
 
-def service_panel() -> ServicePanel:
-    """Run both replays; everything but ``wall_seconds`` is exact."""
-    started = time.perf_counter()
-    smoke_report = replay(Trace.load(str(SMOKE_TRACE_PATH)))
-    demo_report = replay(
-        demo_trace(), horizon_dispatches=DEMO_HORIZON_DISPATCHES
-    )
-    return ServicePanel(
-        smoke=smoke_report,
-        contended=demo_report,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
-def panel_section(panel: ServicePanel) -> dict:
-    """The baseline section: exact simulated pins plus host timing."""
-    return {
-        "pins": {
-            "smoke": panel.smoke,
-            "contended": panel.contended,
-        },
-        "wall_seconds": round(panel.wall_seconds, 2),
-    }
-
-
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_baseline(
-    panel: ServicePanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    path = path or BASELINE_PATH
-    baseline = {
-        "schema": SERVICE_SCHEMA_VERSION,
-        "service": panel_section(panel),
-    }
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _diff(path: str, want, got, problems: list[str]) -> None:
-    """Recursive exact comparison with dotted-path problem reports."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        for key in sorted(set(want) | set(got)):
-            if key not in want:
-                problems.append(f"{path}.{key}: not in baseline")
-            elif key not in got:
-                problems.append(f"{path}.{key}: missing from run")
-            else:
-                _diff(f"{path}.{key}", want[key], got[key], problems)
-        return
-    if want != got:
-        problems.append(f"{path}: baseline {want!r}, run {got!r}")
-
-
-def semantic_problems(panel: ServicePanel) -> list[str]:
-    """Baseline-independent acceptance checks on a fresh run."""
-    problems: list[str] = []
-    for name, report in (("smoke", panel.smoke), ("contended", panel.contended)):
-        if report["false_accepts"]:
-            problems.append(
-                f"{name}: {report['false_accepts']} racy job(s) admitted"
-            )
-    for name, share in panel.contended["contended"]["tenants"].items():
-        observed = share["observed_share"]
-        configured = share["configured_share"]
-        if configured <= 0:
-            continue
-        error = abs(observed - configured) / configured
-        if error > SHARE_TOLERANCE:
-            problems.append(
-                f"contended: tenant {name} share {observed:.4f} deviates "
-                f"{error:.1%} from configured {configured:.4f} "
-                f"(tolerance {SHARE_TOLERANCE:.0%})"
-            )
-    return problems
-
-
-def check_panel(panel: ServicePanel, baseline: dict | None) -> list[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Simulated values must match exactly; wall clock may drift within
-    the tolerance; the semantic share/false-accept bounds apply on top
-    (they would catch a baseline that was itself regenerated broken).
-    """
-    problems = semantic_problems(panel)
-    if baseline is None:
-        problems.append(f"no baseline file at {BASELINE_PATH}")
+    def gates(self, mode: str, results: Results) -> list[str]:
+        """Baseline-independent acceptance checks on a fresh run."""
+        problems: list[str] = []
+        for name, report in results.items():
+            if report["false_accepts"]:
+                problems.append(
+                    f"{name}: {report['false_accepts']} racy job(s) admitted"
+                )
+        for name, share in results["contended"]["contended"]["tenants"].items():
+            observed = share["observed_share"]
+            configured = share["configured_share"]
+            if configured <= 0:
+                continue
+            error = abs(observed - configured) / configured
+            if error > SHARE_TOLERANCE:
+                problems.append(
+                    f"contended: tenant {name} share {observed:.4f} deviates "
+                    f"{error:.1%} from configured {configured:.4f} "
+                    f"(tolerance {SHARE_TOLERANCE:.0%})"
+                )
         return problems
-    if baseline.get("schema") != SERVICE_SCHEMA_VERSION:
-        problems.append(
-            f"baseline schema {baseline.get('schema')!r} != "
-            f"{SERVICE_SCHEMA_VERSION}"
-        )
-        return problems
-    section = baseline.get("service", {})
-    _diff("pins", section.get("pins"), panel_section(panel)["pins"], problems)
-    pinned_wall = section.get("wall_seconds")
-    if pinned_wall:
-        # the replay takes well under a second, where relative tolerance
-        # is all noise — allow one absolute second of host jitter on top
-        limit = pinned_wall * (1.0 + ELAPSED_TOLERANCE) + 1.0
-        if panel.wall_seconds > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_seconds:.1f}s vs "
-                f"baseline {pinned_wall:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    return problems
 
-
-def render_service_summary(panel: ServicePanel) -> str:
-    """Human-readable per-tenant latency/throughput/fairness tables."""
-    lines = ["Service replay (committed smoke trace)"]
-    lines.append(
-        f"  {panel.smoke['jobs']} jobs, makespan "
-        f"{panel.smoke['makespan']:.4f}s sim, fairness "
-        f"{panel.smoke['fairness_index']:.4f}, rejected "
-        f"{panel.smoke['rejected_by_reason']}"
-    )
-    header = (
-        f"  {'tenant':<8} {'w':>3} {'done':>5} {'rej':>4} "
-        f"{'node-sec':>9} {'share':>6} {'conf':>6} {'wait':>8} "
-        f"{'turn':>8} {'jobs/s':>8}"
-    )
-    lines.append(header)
-    for name, row in panel.smoke["tenants"].items():
-        lines.append(
-            f"  {name:<8} {row['weight']:>3.0f} {row['completed']:>5} "
-            f"{row['rejected']:>4} {row['node_seconds']:>9.4f} "
-            f"{row['observed_share']:>6.3f} {row['configured_share']:>6.3f} "
-            f"{row['mean_queue_wait']:>8.4f} {row['mean_turnaround']:>8.4f} "
-            f"{row['throughput_jobs_per_second']:>8.1f}"
+    def render(self, mode: str, results: Results) -> str:
+        """Per-tenant latency/throughput and contended-share tables."""
+        smoke, contended = results["smoke"], results["contended"]["contended"]
+        return "\n\n".join(
+            [
+                render_rows(
+                    f"Service replay (committed smoke trace): {smoke['jobs']} "
+                    f"jobs, makespan {smoke['makespan']:.4f}s sim, fairness "
+                    f"{smoke['fairness_index']:.4f}, rejected "
+                    f"{smoke['rejected_by_reason']}",
+                    smoke["tenants"],
+                    "tenant",
+                ),
+                render_rows(
+                    f"Contended shares at {contended['dispatches']} dispatches "
+                    f"(fairness {contended['fairness_index']:.4f})",
+                    contended["tenants"],
+                    "tenant",
+                ),
+            ]
         )
-    contended = panel.contended["contended"]
-    lines.append(
-        f"Contended shares at {contended['dispatches']} dispatches "
-        f"(fairness {contended['fairness_index']:.4f})"
-    )
-    for name, share in contended["tenants"].items():
-        lines.append(
-            f"  {name:<8} committed {share['committed_node_seconds']:.4f} "
-            f"observed {share['observed_share']:.4f} configured "
-            f"{share['configured_share']:.4f}"
-        )
-    lines.append(f"  total {panel.wall_seconds:.1f}s wall")
-    return "\n".join(lines)

@@ -22,15 +22,6 @@ class Table1Row:
     problem_size: str
     metric: str
 
-    def as_tuple(self) -> tuple[str, str, str, str, str]:
-        return (
-            self.name,
-            self.description,
-            self.data_structure,
-            self.problem_size,
-            self.metric,
-        )
-
 
 def table1(
     stencil: StencilWorkload | None = None,

@@ -6,7 +6,7 @@ each a simulated timestamp and a :class:`~repro.service.jobs.JobSpec`.
 Replaying a trace in-process is fully deterministic — arrivals become
 engine events via :meth:`ServiceCore.schedule`, so the same trace always
 yields the same verdicts, dispatch order, and per-tenant node-second
-totals.  That is what lets ``repro.bench --service`` pin exact replay
+totals.  That is what lets ``python -m repro.bench service`` pin exact replay
 numbers in ``BENCH_service_baseline.json``, and what the CI ``service``
 job replays through the socket frontend with concurrent clients.
 

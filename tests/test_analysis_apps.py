@@ -191,6 +191,6 @@ class TestCommandLine:
     def test_bench_analyze_smoke(self, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["stencil", "--smoke", "--analyze"]) == 0
+        assert main(["scaling", "--smoke", "--analyze"]) == 0
         out = capsys.readouterr().out
         assert "analysis:" in out

@@ -1,23 +1,20 @@
-"""Tests for the benchmark harness, reporting, and Table 1 regeneration."""
+"""Tests for the Fig. 7 series, reporting, Table 1 and the comms panel."""
 
-import json
-import pathlib
+import copy
 
 import pytest
 
 from repro.apps.common import AppResult
-from repro.bench.harness import (
+from repro.bench.comms import ON_COUNTERS, CommsPanel, comms_row
+from repro.bench.panel import load
+from repro.bench.report import render_table, render_table1
+from repro.bench.scaling import (
     FIG7_NODE_COUNTS,
     ScalingPoint,
     ScalingSeries,
     parallel_efficiency,
-    sweep,
-)
-from repro.bench.report import (
     render_series,
-    render_table,
-    render_table1,
-    series_to_csv,
+    sweep,
 )
 from repro.bench.tables import TABLE1_ROWS, table1
 
@@ -60,10 +57,6 @@ class TestScalingSeries:
         assert parallel_efficiency(series, "allscale") == pytest.approx(0.875)
         assert parallel_efficiency(series, "mpi") == pytest.approx(1.0)
 
-    def test_speedup(self):
-        series = make_series([100, 200, 300], [100, 100, 100])
-        assert series.speedup("allscale") == [1, 2, 3]
-
     def test_sweep_runs_both_systems(self):
         calls = []
 
@@ -84,6 +77,17 @@ class TestScalingSeries:
 
 class TestTable1:
     def test_default_rows_match_paper(self):
+        assert [row.name for row in TABLE1_ROWS] == ["stencil", "iPiC3D", "TPC"]
+        assert [row.data_structure for row in TABLE1_ROWS] == [
+            "regular 2D grid",
+            "multiple regular 3D grids",
+            "kd-tree",
+        ]
+        assert [row.metric for row in TABLE1_ROWS] == [
+            "FLOPS",
+            "particle updates per second",
+            "queries per second",
+        ]
         rows = {row.name: row for row in TABLE1_ROWS}
         assert rows["stencil"].problem_size == "20,000² elements per node"
         assert rows["stencil"].metric == "FLOPS"
@@ -118,69 +122,51 @@ class TestReports:
         assert "AS/MPI" in text
         assert "400" in text  # linear column
 
-    def test_series_to_csv(self):
-        series = make_series([100.0, 190.0], [120.0, 240.0], nodes=(1, 2))
-        csv = series_to_csv(series)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "app,metric,nodes,allscale,mpi,linear"
-        assert len(lines) == 3
-        assert lines[1].startswith("x,u/s,1,100.0,120.0")
-
 
 class TestCommsPoint:
-    def make_point(self, **overrides):
-        from repro.bench.comms import CommsPoint
+    OFF = dict(
+        messages=1000.0, net_bytes=5000.0, data_bytes=2048.0, work=10.0, elapsed=2.0
+    )
+    ON = dict(
+        messages=600.0, net_bytes=4000.0, data_bytes=2048.0, work=10.0, elapsed=1.5
+    )
 
-        values = dict(
-            app="x",
-            nodes=4,
-            messages_off=1000.0,
-            messages_on=600.0,
-            net_bytes_off=5000.0,
-            net_bytes_on=4000.0,
-            data_bytes_off=2048.0,
-            data_bytes_on=2048.0,
-            work_off=10.0,
-            work_on=10.0,
-            elapsed_off=2.0,
-            elapsed_on=1.5,
-        )
-        values.update(overrides)
-        return CommsPoint(**values)
+    def make_row(self, off=None, **on_overrides):
+        return comms_row("x", off or self.OFF, {**self.ON, **on_overrides}, {})
 
     def test_message_reduction(self):
-        assert self.make_point().message_reduction == pytest.approx(0.4)
-        zero = self.make_point(messages_off=0.0, messages_on=0.0)
-        assert zero.message_reduction == 0.0
+        assert self.make_row()["message_reduction"] == pytest.approx(0.4)
+        off, on = {**self.OFF, "messages": 0.0}, {**self.ON, "messages": 0.0}
+        zero = comms_row("x", off, on, {})
+        assert zero["message_reduction"] == 0.0
 
     def test_elapsed_delta(self):
-        assert self.make_point().elapsed_delta == pytest.approx(-0.25)
-        zero = self.make_point(elapsed_off=0.0)
-        assert zero.elapsed_delta == 0.0
+        assert self.make_row()["elapsed_delta"] == pytest.approx(-0.25)
+        zero = self.make_row(off={**self.OFF, "elapsed": 0.0})
+        assert zero["elapsed_delta"] == 0.0
 
     def test_outputs_identical(self):
-        assert self.make_point().outputs_identical
-        assert not self.make_point(work_on=11.0).outputs_identical
-        assert not self.make_point(data_bytes_on=1.0).outputs_identical
+        assert self.make_row()["outputs_identical"]
+        assert not self.make_row(work=11.0)["outputs_identical"]
+        assert not self.make_row(data_bytes=1.0)["outputs_identical"]
 
     def test_to_row_shape(self):
-        row = self.make_point().to_row()
+        row = self.make_row()
         assert row["message_reduction"] == 0.4
         assert row["outputs_identical"] is True
         assert row["counters"] == {}
+        assert set(row) == TestCommsBaseline.ROW_KEYS
 
     def test_render_and_json(self):
-        from repro.bench.comms import comms_to_json, render_comms
-
-        points = [self.make_point()]
-        text = render_comms(points)
+        results = {"x": self.make_row()}
+        text = CommsPanel().render("full", results)
         assert "+40.0%" in text and "yes" in text
-        payload = json.loads(comms_to_json(points))
-        assert payload["apps"]["x"]["messages_on"] == 600.0
+        assert results["x"]["messages_on"] == 600.0
 
 
 class TestCommsBaseline:
-    """The committed comms panel must keep its schema and its promises."""
+    """The committed full-mode comms pin keeps its schema and its promises,
+    and the comms gates hold those promises on every fresh run."""
 
     ROW_KEYS = {
         "app",
@@ -202,51 +188,51 @@ class TestCommsBaseline:
     }
 
     @pytest.fixture
-    def baseline(self):
-        path = (
-            pathlib.Path(__file__).resolve().parent.parent
-            / "BENCH_comms_baseline.json"
-        )
-        return json.loads(path.read_text())
+    def cells(self):
+        return load(CommsPanel.baseline_path)["modes"]["full"]["cells"]
 
-    def test_schema_pinned(self, baseline):
-        from repro.bench.comms import COMMS_NODE_COUNT, COMMS_SCHEMA_VERSION
+    def gates(self, cells):
+        return CommsPanel().gates("full", cells)
 
-        assert baseline["schema"] == COMMS_SCHEMA_VERSION
-        assert baseline["nodes"] == COMMS_NODE_COUNT
-        assert set(baseline["apps"]) == {"stencil", "ipic3d", "tpc"}
-        for row in baseline["apps"].values():
+    def test_schema_pinned(self, cells):
+        assert set(cells) == {"stencil", "ipic3d", "tpc"}
+        for row in cells.values():
             assert set(row) == self.ROW_KEYS
+            assert row["nodes"] == 4
 
-    def test_counters_pinned(self, baseline):
-        from repro.bench.comms import _ON_COUNTERS
+    def test_counters_pinned(self, cells):
+        for row in cells.values():
+            assert set(row["counters"]) == set(ON_COUNTERS)
 
-        for row in baseline["apps"].values():
-            assert set(row["counters"]) == set(_ON_COUNTERS)
+    def test_outputs_identical_everywhere(self, cells):
+        assert self.gates(cells) == []
+        broken = copy.deepcopy(cells)
+        broken["ipic3d"]["outputs_identical"] = False
+        assert self.gates(broken) == [
+            "ipic3d: optimised run changed outputs or moved bytes"
+        ]
 
-    def test_outputs_identical_everywhere(self, baseline):
-        for row in baseline["apps"].values():
-            assert row["outputs_identical"] is True
-            assert row["data_bytes_off"] == row["data_bytes_on"]
-            assert row["work_off"] == row["work_on"]
-
-    def test_message_reduction_targets(self, baseline):
+    def test_message_reduction_targets(self, cells):
         # the acceptance bar: >= 30% fewer messages on the TPC panel,
         # and every app must see a material reduction
-        assert baseline["apps"]["tpc"]["message_reduction"] >= 0.30
-        for row in baseline["apps"].values():
-            assert row["message_reduction"] >= 0.25
+        broken = copy.deepcopy(cells)
+        broken["tpc"]["message_reduction"] = 0.29
+        broken["stencil"]["message_reduction"] = 0.24
+        assert self.gates(broken) == [
+            "stencil: message reduction below 25%",
+            "tpc: message reduction below 30%",
+        ]
 
-    def test_comms_layer_actually_engaged(self, baseline):
-        for row in baseline["apps"].values():
-            counters = row["counters"]
-            assert counters["net.bulk_messages"] > 0
-            if row["data_bytes_off"]:
-                # apps that move payload do it through audited plans;
-                # TPC's kd-tree is pre-placed, so its win is pure
-                # dispatch batching and it never opens a plan
-                assert counters["comms.plans"] > 0
-                assert (
-                    counters["comms.moved_bytes"] == row["data_bytes_on"]
-                )
-            assert counters["comms.batched_dispatches"] > 0
+    def test_comms_layer_actually_engaged(self, cells):
+        broken = copy.deepcopy(cells)
+        broken["stencil"]["counters"]["comms.plans"] = 0.0
+        broken["ipic3d"]["counters"]["comms.moved_bytes"] += 1.0
+        broken["tpc"]["counters"]["net.bulk_messages"] = 0.0
+        broken["tpc"]["counters"]["comms.batched_dispatches"] = 0.0
+        broken["tpc"]["counters"]["comms.plans"] = 0.0  # TPC opens no plan
+        assert self.gates(broken) == [
+            "ipic3d: planned moves do not account for the payload",
+            "stencil: no transfer plans",
+            "tpc: no bulk messages",
+            "tpc: no batched dispatches",
+        ]

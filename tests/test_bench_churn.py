@@ -1,37 +1,30 @@
-"""Tests for the churn panel's baseline bookkeeping.
+"""Tests for the churn panel's gates, schedules and baseline bookkeeping.
 
-These use hand-built panels (the real sweep is exercised by the
-``--churn`` CLI and its committed baseline); what is under test here is
-the exact-match checking, the semantic gates a run must clear before it
-may be pinned, the merge-per-mode baseline file handling, and the
-deterministic schedule shapes — plus one real (tiny) cell driving
-:func:`_run_cell` end to end with a churn controller attached.
+These use hand-built results (the real sweep is exercised by
+``python -m repro.bench churn`` and its committed baseline); what is
+under test here is the exact-match checking, the semantic gates a run
+must clear before it may be pinned, the merge-per-mode baseline file
+handling, and the deterministic schedule shapes — plus one real (tiny)
+cell driving :func:`_run_cell` end to end with a churn controller
+attached.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+
+import pytest
 
 from repro.apps.stencil import StencilWorkload
-from repro.bench.churn import (
-    CHURN_SCHEMA_VERSION,
-    ChurnCell,
-    ChurnPanel,
-    _grid,
-    _run_cell,
-    _schedule,
-    check_panel,
-    load_baseline,
-    panel_mode,
-    panel_section,
-    render_churn_summary,
-    semantic_problems,
-    write_baseline,
-)
+from repro.bench import panel as store
+from repro.bench.__main__ import parser
+from repro.bench.churn import ChurnPanel, _grid, _run_cell, _schedule
+from repro.bench.panel import UNPINNED
 from repro.runtime.elastic import ChurnEvent
 
 APPS = ("stencil", "ipic3d", "tpc")
 SCENARIOS = ("baseline", "scale_out", "drain", "storm1xr1")
+PANEL = ChurnPanel()
 
 
 def _metrics(scenario: str) -> dict[str, float]:
@@ -50,41 +43,43 @@ def _metrics(scenario: str) -> dict[str, float]:
     return metrics
 
 
-def _panel(mode="smoke"):
+def _results() -> dict:
     """A sweep that clears every semantic gate, as required for a pin."""
-    panel = ChurnPanel(mode=mode, start_nodes=3, sentinel_attached=True)
+    results = {}
     for app_index, app in enumerate(APPS):
-        for scenario_index, scenario in enumerate(SCENARIOS):
-            panel.cells.append(
-                ChurnCell(
-                    app=app,
-                    scenario=scenario,
-                    sim_elapsed=0.5 * (1 + app_index) + 0.01 * scenario_index,
-                    metrics=_metrics(scenario),
-                    membership_changes=0 if scenario == "baseline" else 2,
-                    final_processes=3 if scenario == "baseline" else 2,
-                    sentinel_violations=0,
-                )
-            )
-        panel.wall_seconds[app] = 1.0
-    return panel
+        results[app] = {
+            "start_nodes": 3,
+            "scenarios": {
+                scenario: {
+                    "sim_elapsed": 0.5 * (1 + app_index) + 0.01 * index,
+                    "metrics": _metrics(scenario),
+                    "membership_changes": 0 if scenario == "baseline" else 2,
+                    "final_processes": 3 if scenario == "baseline" else 2,
+                }
+                for index, scenario in enumerate(SCENARIOS)
+            },
+            UNPINNED: {"sentinel_violations": {s: 0 for s in SCENARIOS}},
+        }
+    return results
 
 
-def _replace_cell(panel, app, scenario, **changes):
-    for index, cell in enumerate(panel.cells):
-        if (cell.app, cell.scenario) == (app, scenario):
-            panel.cells[index] = dataclasses.replace(cell, **changes)
-            return
-    raise AssertionError("cell not found")
+def _replace_cell(results, app, scenario, **changes):
+    results[app]["scenarios"][scenario].update(changes)
+
+
+def _baseline(results, mode="smoke", wall=3.0):
+    section = store.section(copy.deepcopy(results), wall)
+    return {"schema": store.SCHEMA_VERSION, "modes": {mode: section}}
 
 
 class TestModeAndSchedule:
     def test_panel_mode(self):
-        assert panel_mode(quick=False, smoke=True) == "smoke"
-        assert panel_mode(quick=True, smoke=False) == "quick"
-        assert panel_mode(quick=False, smoke=False) == "full"
-        # smoke wins over quick, matching the CLI's precedence
-        assert panel_mode(quick=True, smoke=True) == "smoke"
+        assert parser().parse_args(["--smoke"]).mode == "smoke"
+        assert parser().parse_args(["--quick"]).mode == "quick"
+        assert parser().parse_args([]).mode == "full"
+        # one size per run: the CLI refuses both
+        with pytest.raises(SystemExit):
+            parser().parse_args(["--quick", "--smoke"])
 
     def test_grid_grows_with_mode(self):
         smoke_nodes, smoke_grid = _grid("smoke")
@@ -119,45 +114,45 @@ class TestModeAndSchedule:
 
 class TestSemanticProblems:
     def test_clean_panel(self):
-        assert semantic_problems(_panel()) == []
+        assert PANEL.gates("smoke", _results()) == []
 
     def test_sentinel_violation_rejected(self):
-        panel = _panel()
-        _replace_cell(panel, "tpc", "drain", sentinel_violations=2)
-        problems = semantic_problems(panel)
+        results = _results()
+        results["tpc"][UNPINNED]["sentinel_violations"]["drain"] = 2
+        problems = PANEL.gates("smoke", results)
         assert len(problems) == 1
         assert "tpc/drain" in problems[0]
         assert "sentinel" in problems[0]
 
     def test_baseline_must_not_churn(self):
-        panel = _panel()
+        results = _results()
         _replace_cell(
-            panel, "stencil", "baseline",
+            results, "stencil", "baseline",
             metrics={"elastic.churn_events": 1.0},
         )
         assert any(
-            "baseline saw churn" in p for p in semantic_problems(panel)
+            "baseline saw churn" in p for p in PANEL.gates("smoke", results)
         )
 
     def test_churn_scenario_must_apply_events(self):
-        panel = _panel()
-        _replace_cell(panel, "stencil", "drain", metrics={})
-        problems = semantic_problems(panel)
+        results = _results()
+        _replace_cell(results, "stencil", "drain", metrics={})
+        problems = PANEL.gates("smoke", results)
         assert any("no churn events applied" in p for p in problems)
         assert any("no node drained" in p for p in problems)
 
     def test_scale_out_must_join(self):
-        panel = _panel()
+        results = _results()
         _replace_cell(
-            panel, "ipic3d", "scale_out",
+            results, "ipic3d", "scale_out",
             metrics={"elastic.churn_events": 2.0},
         )
-        assert any("no node joined" in p for p in semantic_problems(panel))
+        assert any("no node joined" in p for p in PANEL.gates("smoke", results))
 
     def test_drain_must_evacuate(self):
-        panel = _panel()
+        results = _results()
         _replace_cell(
-            panel, "ipic3d", "drain",
+            results, "ipic3d", "drain",
             metrics={
                 "elastic.churn_events": 1.0,
                 "elastic.drains": 1.0,
@@ -165,135 +160,124 @@ class TestSemanticProblems:
             },
         )
         assert any(
-            "evacuated no data" in p for p in semantic_problems(panel)
+            "evacuated no data" in p for p in PANEL.gates("smoke", results)
         )
 
     def test_storm_must_fail_nodes(self):
-        panel = _panel()
+        results = _results()
         _replace_cell(
-            panel, "tpc", "storm1xr1",
+            results, "tpc", "storm1xr1",
             metrics={"elastic.churn_events": 1.0},
         )
         assert any(
-            "storm failed no nodes" in p for p in semantic_problems(panel)
+            "storm failed no nodes" in p for p in PANEL.gates("smoke", results)
         )
 
 
 class TestCheckPanel:
-    def _baseline(self, panel):
-        return {
-            "schema": CHURN_SCHEMA_VERSION,
-            "modes": {panel.mode: panel_section(panel)},
-        }
-
     def test_no_baseline(self):
-        problems = check_panel(_panel(), None)
-        assert problems and "no baseline" in problems[0]
+        assert store.check(None, "smoke", _results(), 3.0) == ["no baseline file"]
 
     def test_missing_mode_section(self):
-        panel = _panel()
-        problems = check_panel(panel, {"schema": 1, "modes": {}})
-        assert problems == [f"baseline has no {panel.mode!r} section"]
+        baseline = {"schema": store.SCHEMA_VERSION, "modes": {}}
+        assert store.check(baseline, "smoke", _results(), 3.0) == [
+            "baseline has no 'smoke' section"
+        ]
 
     def test_exact_match_passes(self):
-        panel = _panel()
-        assert check_panel(panel, self._baseline(panel)) == []
+        assert store.check(_baseline(_results()), "smoke", _results(), 3.0) == []
 
     def test_sim_elapsed_drift_is_exact(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
-        _replace_cell(panel, "stencil", "drain", sim_elapsed=99.0)
-        problems = check_panel(panel, baseline)
-        assert any(
-            "stencil/drain" in p and "simulated elapsed changed" in p
-            for p in problems
-        )
+        results = _results()
+        baseline = _baseline(results)
+        _replace_cell(results, "stencil", "drain", sim_elapsed=99.0)
+        assert store.check(baseline, "smoke", results, 3.0) == [
+            "cells.stencil.scenarios.drain.sim_elapsed: baseline 0.52, run 99.0"
+        ]
 
     def test_metric_drift_is_exact(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
-        metrics = dict(_metrics("drain"))
-        metrics["elastic.evacuated_bytes"] += 1.0
-        _replace_cell(panel, "tpc", "drain", metrics=metrics)
-        problems = check_panel(panel, baseline)
-        assert any(
-            "tpc/drain elastic.evacuated_bytes" in p for p in problems
-        )
+        results = _results()
+        baseline = _baseline(results)
+        results["tpc"]["scenarios"]["drain"]["metrics"][
+            "elastic.evacuated_bytes"
+        ] += 1.0
+        problems = store.check(baseline, "smoke", results, 3.0)
+        assert problems == [
+            "cells.tpc.scenarios.drain.metrics.elastic.evacuated_bytes: "
+            "baseline 8192.0, run 8193.0"
+        ]
 
     def test_membership_and_survivors_pinned(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
+        results = _results()
+        baseline = _baseline(results)
         _replace_cell(
-            panel, "ipic3d", "scale_out",
+            results, "ipic3d", "scale_out",
             membership_changes=5, final_processes=9,
         )
-        problems = check_panel(panel, baseline)
+        problems = store.check(baseline, "smoke", results, 3.0)
         assert any("membership_changes" in p for p in problems)
         assert any("final_processes" in p for p in problems)
 
     def test_cell_set_must_match(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
-        extra = dataclasses.replace(panel.cells[-1], scenario="storm9xr9")
-        panel.cells.append(extra)
-        del panel.cells[0]
-        problems = check_panel(panel, baseline)
-        assert any("not in baseline" in p for p in problems)
-        assert any("in baseline but not in run" in p for p in problems)
+        results = _results()
+        baseline = _baseline(results)
+        results["tpc"]["scenarios"]["storm9xr9"] = copy.deepcopy(
+            results["tpc"]["scenarios"]["storm1xr1"]
+        )
+        del results["stencil"]["scenarios"]["baseline"]
+        problems = store.check(baseline, "smoke", results, 3.0)
+        assert "cells.tpc.scenarios.storm9xr9: not in baseline" in problems
+        assert "cells.stencil.scenarios.baseline: missing from run" in problems
 
     def test_start_nodes_pinned(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
-        panel.start_nodes = 7
-        assert any(
-            "start nodes changed" in p
-            for p in check_panel(panel, baseline)
-        )
+        results = _results()
+        baseline = _baseline(results)
+        results["ipic3d"]["start_nodes"] = 7
+        assert store.check(baseline, "smoke", results, 3.0) == [
+            "cells.ipic3d.start_nodes: baseline 3, run 7"
+        ]
 
     def test_wall_clock_tolerance(self):
-        panel = _panel()
-        baseline = self._baseline(panel)
-        for app in panel.wall_seconds:
-            panel.wall_seconds[app] *= 10.0
+        baseline = _baseline(_results(), wall=3.0)
         assert any(
             "wall clock regressed" in p
-            for p in check_panel(panel, baseline)
+            for p in store.check(baseline, "smoke", _results(), 30.0)
         )
-        # simulated drift is exact, wall drift is tolerated up to 20%
-        for app in panel.wall_seconds:
-            panel.wall_seconds[app] = 1.1
-        assert check_panel(panel, baseline) == []
+        # simulated drift is exact, wall drift is tolerated
+        assert store.check(baseline, "smoke", _results(), 3.3) == []
 
 
 class TestBaselineFile:
     def test_roundtrip_merges_per_mode(self, tmp_path):
         path = tmp_path / "baseline.json"
-        assert load_baseline(path) is None
-        smoke = _panel("smoke")
-        quick = _panel("quick")
-        write_baseline(smoke, path)
-        write_baseline(quick, path)
-        baseline = load_baseline(path)
-        assert baseline["schema"] == CHURN_SCHEMA_VERSION
+        assert store.load(path) is None
+        store.write(path, "smoke", _results(), 3.0)
+        store.write(path, "quick", _results(), 6.0)
+        baseline = store.load(path)
+        assert baseline["schema"] == store.SCHEMA_VERSION
         assert set(baseline["modes"]) == {"smoke", "quick"}
-        assert check_panel(smoke, baseline) == []
-        assert check_panel(quick, baseline) == []
+        assert store.check(baseline, "smoke", _results(), 3.0) == []
+        assert store.check(baseline, "quick", _results(), 6.0) == []
 
     def test_committed_baseline_has_all_modes(self):
-        baseline = load_baseline()
+        baseline = store.load(PANEL.baseline_path)
         assert baseline is not None
-        assert baseline["schema"] == CHURN_SCHEMA_VERSION
+        assert baseline["schema"] == store.SCHEMA_VERSION
         assert set(baseline["modes"]) >= {"smoke", "quick", "full"}
+        for mode, section in baseline["modes"].items():
+            nodes, grid = _grid(mode)
+            for cell in section["cells"].values():
+                assert cell["start_nodes"] == nodes
+                assert len(cell["scenarios"]) == 3 + len(grid)
 
 
 class TestRenderSummary:
     def test_summary_lists_cells_and_wall(self):
-        text = render_churn_summary(_panel())
+        text = PANEL.render("smoke", _results())
         assert "Churn sweep" in text
         assert "strict sentinel attached" in text
         for app in APPS:
             assert f"{app}/drain" in text
-        assert "wall" in text
 
 
 class TestRunCell:

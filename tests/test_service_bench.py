@@ -5,18 +5,8 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bench.service import (
-    BASELINE_PATH,
-    SERVICE_SCHEMA_VERSION,
-    SHARE_TOLERANCE,
-    SMOKE_TRACE_PATH,
-    ServicePanel,
-    check_panel,
-    load_baseline,
-    semantic_problems,
-    service_panel,
-    write_baseline,
-)
+from repro.bench import panel as store
+from repro.bench.service import SHARE_TOLERANCE, SMOKE_TRACE_PATH, ServicePanel
 from repro.service.__main__ import main as service_main
 from repro.service.trace import (
     DEMO_HORIZON_DISPATCHES,
@@ -39,19 +29,30 @@ def test_committed_trace_matches_builder():
     assert committed.to_dict() == smoke_trace().to_dict()
 
 
+PANEL = ServicePanel()
+
+
+def _run() -> store.Run:
+    """A fresh replay of both cells, as the bench runner does it."""
+    run = store.Run("full")
+    for cell in PANEL.cells("full"):
+        run.results[cell], run.seconds[cell] = store.run_cell(PANEL, "full", cell)
+    return run
+
+
 def test_committed_baseline_matches_fresh_run():
     """A fresh panel reproduces the committed baseline bit for bit."""
-    panel = service_panel()
-    problems = check_panel(panel, load_baseline())
+    run = _run()
+    problems = store.settle(
+        PANEL, run, [], check_baseline=True, write_baseline=False
+    )
     assert problems == [], "\n".join(problems)
 
 
 def test_baseline_schema_shape():
-    baseline = load_baseline()
-    assert baseline is not None and baseline["schema"] == (
-        SERVICE_SCHEMA_VERSION
-    )
-    pins = baseline["service"]["pins"]
+    baseline = store.load(PANEL.baseline_path)
+    assert baseline is not None and baseline["schema"] == store.SCHEMA_VERSION
+    pins = baseline["modes"]["full"]["cells"]
     assert pins["smoke"]["false_accepts"] == 0
     assert pins["smoke"]["rejected_by_reason"] == {
         "analysis": 3,
@@ -67,42 +68,41 @@ def test_baseline_schema_shape():
 # -- check logic -------------------------------------------------------------------
 
 
-def _panel() -> ServicePanel:
-    return service_panel()
-
-
 def test_check_detects_drifted_pin(tmp_path):
-    panel = _panel()
+    run = _run()
     path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
+    store.write(path, "full", run.results, run.wall)
     baseline = json.loads(path.read_text())
-    baseline["service"]["pins"]["smoke"]["fairness_index"] = 0.5
-    problems = check_panel(panel, baseline)
+    baseline["modes"]["full"]["cells"]["smoke"]["fairness_index"] = 0.5
+    problems = store.check(baseline, "full", run.results, run.wall)
     assert any("fairness_index" in problem for problem in problems)
 
 
 def test_check_detects_wall_regression(tmp_path):
-    panel = _panel()
+    run = _run()
     path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
+    store.write(path, "full", run.results, run.wall)
     baseline = json.loads(path.read_text())
-    baseline["service"]["wall_seconds"] = 1e-6
-    panel.wall_seconds = 10.0
-    problems = check_panel(panel, baseline)
+    baseline["modes"]["full"]["wall_seconds"] = 1e-6
+    problems = store.check(baseline, "full", run.results, 10.0)
     assert any("wall clock" in problem for problem in problems)
 
 
 def test_check_rejects_schema_mismatch():
-    panel = _panel()
-    problems = check_panel(panel, {"schema": 999})
+    run = _run()
+    problems = store.check({"schema": 999}, "full", run.results, run.wall)
     assert any("schema" in problem for problem in problems)
 
 
 def test_semantic_problems_flag_false_accepts():
-    panel = _panel()
-    assert semantic_problems(panel) == []
-    panel.smoke["false_accepts"] = 2
-    assert any("racy" in p for p in semantic_problems(panel))
+    run = _run()
+    assert PANEL.gates("full", run.results) == []
+    run.results["smoke"]["false_accepts"] = 2
+    assert any("racy" in p for p in PANEL.gates("full", run.results))
+    run.results["smoke"]["false_accepts"] = 0
+    share = run.results["contended"]["contended"]["tenants"]["gamma"]
+    share["observed_share"] = share["configured_share"] * 1.2
+    assert any("tenant gamma" in p for p in PANEL.gates("full", run.results))
 
 
 # -- the acceptance demo -----------------------------------------------------------
@@ -160,15 +160,17 @@ def test_cli_demo(capsys):
 def test_bench_cli_service_check():
     from repro.bench.__main__ import main as bench_main
 
-    assert bench_main(["--service", "--check"]) == 0
+    assert bench_main(["service", "--check"]) == 0
 
 
 def test_committed_baseline_fresh(tmp_path):
-    """write_baseline output equals the committed file (regen safety)."""
-    panel = _panel()
+    """A re-pin writes the committed file back (regen safety)."""
+    run = _run()
     path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
+    store.write(path, "full", run.results, run.wall)
     fresh = json.loads(path.read_text())
-    committed = json.loads(BASELINE_PATH.read_text())
-    fresh["service"]["wall_seconds"] = committed["service"]["wall_seconds"]
+    committed = json.loads(PANEL.baseline_path.read_text())
+    fresh["modes"]["full"]["wall_seconds"] = committed["modes"]["full"][
+        "wall_seconds"
+    ]
     assert fresh == committed
