@@ -13,6 +13,13 @@ structural metadata).  A query runs in two phases:
    sub-trees and identifies the distribution roots needing real descent;
 2. **sub-tree traversals** at the owners of those roots.
 
+:func:`make_problem` plans both phases of every query up front with the
+batched level walk :func:`repro.items.kdtree.plan_queries`; the ports
+replay those plans as task costs.  :meth:`TPCProblem.exact_count` runs
+the sequential reference traversal
+(:meth:`~repro.items.kdtree.KDTreeStructure.query`) instead, so output
+checks stay independent of the planner.
+
 The two ports differ exactly as the paper describes (§4.2):
 
 * :func:`tpc_allscale` — one small task per (query, sub-tree), forwarded
@@ -43,12 +50,14 @@ from repro.apps.stencil import replace_functional
 from repro.items.kdtree import (
     KDTreeItem,
     KDTreeStructure,
-    Visit,
+    QueryPlan,
     build_kdtree,
+    plan_queries,
     synthetic_kdtree,
 )
 from repro.mpi.comm import Communicator
 from repro.mpi.program import run_spmd
+from repro.regions.tree import TreeRegion
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
 from repro.runtime.runtime import AllScaleRuntime
@@ -102,16 +111,6 @@ class TPCWorkload:
         if self.queries_total is not None:
             return max(1, self.queries_total)
         return self.queries_per_node * nodes
-
-
-@dataclass
-class QueryPlan:
-    """Result of one query's top-tree traversal."""
-
-    top_count: float
-    top_visits: int
-    #: distribution roots requiring a real descent
-    recurse_roots: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -192,13 +191,11 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
 
     # per-process owned regions: the bands it owns; process 0 additionally
     # owns the (replicated-as-metadata) top tree
-    from repro.regions.tree import TreeRegion
-
     geometry = structure.geometry
     placement = []
-    top = TreeRegion.full(geometry)
-    for root in band_roots:
-        top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
+    top = TreeRegion.full(geometry).difference(
+        TreeRegion.of_subtrees(geometry, band_roots)
+    )
     for pid in range(nodes):
         mine = [r for r in band_roots if owner_of_band[r] == pid]
         region = TreeRegion.of_subtrees(geometry, mine)
@@ -206,20 +203,17 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
             region = region.union(top)
         placement.append(region)
 
-    plans: list[QueryPlan] = []
-    band_work: dict[tuple[int, int], tuple[float, float]] = {}
-    radius = workload.radius
-    for qi in range(len(queries)):
-        q = queries[qi]
-        plan = _plan_top(structure, q, radius, task_level)
-        plans.append(plan)
-        for root in plan.recurse_roots:
-            stats = structure.query_from(root, q, radius)
-            flops = (
-                stats.visited_nodes * workload.visit_flops
-                + stats.scanned_points * workload.point_flops
-            )
-            band_work[(qi, root)] = (flops, stats.count)
+    plans, descents = plan_queries(
+        structure, queries, workload.radius, task_level
+    )
+    band_work = {
+        key: (
+            stats.visited_nodes * workload.visit_flops
+            + stats.scanned_points * workload.point_flops,
+            stats.count,
+        )
+        for key, stats in descents.items()
+    }
     return TPCProblem(
         workload=workload,
         nodes=nodes,
@@ -233,28 +227,6 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
         band_work=band_work,
         placement=placement,
     )
-
-
-def _plan_top(
-    structure: KDTreeStructure, q: np.ndarray, radius: float, dist_level: int
-) -> QueryPlan:
-    """Traverse the (replicated) top tree, collecting sub-trees to descend."""
-    plan = QueryPlan(top_count=0.0, top_visits=0)
-    stack = [1]
-    while stack:
-        node = stack.pop()
-        plan.top_visits += 1
-        kind = structure.classify(node, q, radius)
-        if kind is Visit.PRUNE_OUT:
-            continue
-        if kind is Visit.PRUNE_IN:
-            plan.top_count += float(structure.counts[node])
-            continue
-        if node.bit_length() == dist_level:
-            plan.recurse_roots.append(node)
-            continue
-        stack.extend(structure.geometry.children(node))
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,20 @@ Two constructions are provided:
   Traversals visit the same nodes a real uniform tree would, which is all
   the cost model needs; leaf tallies are estimated from box/ball overlap.
 
-The per-node classification primitive :meth:`KDTreeStructure.classify`
-drives both the sequential reference query and the distributed task-based
-traversal of :mod:`repro.apps.tpc`.
+Two traversals share the same pruning rules:
+
+* :func:`plan_queries` plans the distributed TPC traversal of
+  :mod:`repro.apps.tpc`: one level-synchronous walk that classifies every
+  ``(query, node)`` pair of a tree level in a few numpy operations;
+* :meth:`KDTreeStructure.query_from` is the sequential reference: a
+  per-node stack walk through :meth:`KDTreeStructure.classify` and
+  :meth:`KDTreeStructure.leaf_tally`.  Exact counts and the tests check
+  the planner against it, and its outputs are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -52,6 +58,16 @@ class QueryStats:
     count: float = 0.0
     visited_nodes: int = 0
     scanned_points: float = 0.0
+
+
+@dataclass
+class QueryPlan:
+    """Result of one query's walk of the tree above the task level."""
+
+    top_count: float
+    top_visits: int
+    #: task roots requiring a real descent, in descending node id
+    recurse_roots: list[int] = field(default_factory=list)
 
 
 class KDTreeStructure:
@@ -241,23 +257,164 @@ def synthetic_kdtree(
     bbox_lo[1] = low
     bbox_hi[1] = high
     counts[1] = total_points
-    for node in range(1, geometry.num_nodes + 1):
-        if geometry.is_leaf(node):
-            continue
-        axis = int(np.argmax(bbox_hi[node] - bbox_lo[node]))
-        mid = 0.5 * (bbox_lo[node, axis] + bbox_hi[node, axis])
-        for child, new_lo, new_hi in (
-            (2 * node, None, mid),
-            (2 * node + 1, mid, None),
-        ):
-            bbox_lo[child] = bbox_lo[node]
-            bbox_hi[child] = bbox_hi[node]
-            if new_lo is not None:
-                bbox_lo[child, axis] = new_lo
-            if new_hi is not None:
-                bbox_hi[child, axis] = new_hi
-            counts[child] = counts[node] / 2.0
+    # one level at a time, parents before children as in heap order; the
+    # level's rows are read through views so that no level is copied
+    for level in range(1, depth):
+        first = 1 << (level - 1)  # the level holds nodes first .. 2*first-1
+        level_nodes = slice(first, 2 * first)
+        lo, hi = bbox_lo[level_nodes], bbox_hi[level_nodes]
+        rows = np.arange(first)
+        axis = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+        for child in (slice(2 * first, 4 * first, 2),
+                      slice(2 * first + 1, 4 * first, 2)):
+            bbox_lo[child] = lo
+            bbox_hi[child] = hi
+            counts[child] = counts[level_nodes] / 2.0
+        left = 2 * (first + rows)
+        bbox_hi[left, axis] = mid
+        bbox_lo[left + 1, axis] = mid
     return KDTreeStructure(depth, dims, bbox_lo, bbox_hi, counts, None)
+
+
+#: queries :func:`plan_queries` walks together; bounds the frontier
+#: arrays (and so peak memory) while keeping each level one numpy batch
+PLAN_CHUNK = 16
+
+
+def plan_queries(
+    structure: KDTreeStructure,
+    queries: np.ndarray,
+    radius: float,
+    task_level: int,
+) -> tuple[list[QueryPlan], dict[tuple[int, int], QueryStats]]:
+    """Plan every query's distributed traversal in batched level walks.
+
+    Per query, the walk of the tree above ``task_level`` (the
+    :class:`QueryPlan`); per ``(query index, task root)`` pair the query
+    descends into, the :class:`QueryStats` of that descent, keyed in
+    query order and then descending root id.
+
+    Every figure equals the sequential reference
+    (``structure.query_from(root, q, radius)`` for a descent) bit for
+    bit: the distances are the same row dot products, and float sums are
+    accumulated one term at a time in the reference stack's pop order.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    plans: list[QueryPlan] = []
+    descents: dict[tuple[int, int], QueryStats] = {}
+    for first in range(0, len(queries), PLAN_CHUNK):
+        chunk = queries[first : first + PLAN_CHUNK]
+        n = len(chunk)
+        visits, counts, _, roots = _walk(
+            structure, chunk, radius,
+            np.arange(n), np.arange(n), np.ones(n, dtype=np.int64), 1,
+            stop_level=task_level,
+        )
+        plans += [QueryPlan(c, v, r) for c, v, r in zip(counts, visits, roots)]
+        pairs = [(qi, root) for qi in range(n) for root in roots[qi]]
+        if not pairs:
+            continue
+        pair_query, pair_root = np.array(pairs, dtype=np.int64).T
+        visits, counts, scanned, _ = _walk(
+            structure, chunk, radius,
+            np.arange(len(pairs)), pair_query, pair_root, task_level,
+        )
+        for (qi, root), v, c, s in zip(pairs, visits, counts, scanned):
+            descents[(first + qi, root)] = QueryStats(c, v, s)
+    return plans, descents
+
+
+def _walk(
+    structure: KDTreeStructure,
+    queries: np.ndarray,
+    radius: float,
+    owner: np.ndarray,
+    query: np.ndarray,
+    node: np.ndarray,
+    level: int,
+    stop_level: int | None = None,
+) -> tuple[list[int], list[float], list[float], list[list[int]]]:
+    """Pruned walk of many ``(owner, query, node)`` frontier entries.
+
+    All start nodes lie on ``level``; the frontier advances one level per
+    step.  Returns, per owner, the visited nodes, the count, the scanned
+    points and the nodes that still overlap the ball at ``stop_level``
+    (in descending node id).
+    """
+    n = len(owner)
+    depth = structure.depth
+    r2 = radius * radius
+    visits = np.zeros(n, dtype=np.int64)
+    stops: list[list[int]] = [[] for _ in range(n)]
+    # per level: (owner, order key, count term, scanned term) arrays
+    terms = []
+    while len(node):
+        visits += np.bincount(owner, minlength=n)
+        q = queries[query]
+        lo, hi = structure.bbox_lo[node], structure.bbox_hi[node]
+        near = np.maximum(np.maximum(lo - q, 0.0), q - hi)
+        far = np.maximum(np.abs(q - lo), np.abs(q - hi))
+        prune_out = _row_dots(near) > r2
+        prune_in = ~prune_out & (_row_dots(far) <= r2)
+        partial = ~(prune_out | prune_in)
+        # the reference pops right children first: a pre-order in which
+        # the node with the larger rightmost leaf comes first
+        key = -((node + 1) << (depth - level))
+        counts = structure.counts[node].astype(np.float64)
+        terms.append((owner[prune_in], key[prune_in], counts[prune_in],
+                      np.zeros(np.count_nonzero(prune_in))))
+        if level == stop_level:
+            order = np.lexsort((-node[partial], owner[partial]))
+            for o, stop in zip(owner[partial][order].tolist(),
+                               node[partial][order].tolist()):
+                stops[o].append(stop)
+            break
+        if level == depth:
+            tallies = _leaf_tallies(
+                structure, q[partial], node[partial], counts[partial], radius
+            )
+            terms.append((owner[partial], key[partial], tallies, counts[partial]))
+            break
+        owner, query = np.repeat(owner[partial], 2), np.repeat(query[partial], 2)
+        node = np.repeat(2 * node[partial], 2)
+        node[1::2] += 1
+        level += 1
+    t_owner, t_key, t_count, t_scanned = (np.concatenate(t) for t in zip(*terms))
+    order = np.lexsort((t_key, t_owner))
+    totals = [0.0] * n
+    scanned = [0.0] * n
+    # float += one term at a time, never a (pairwise or compensated) sum
+    for o, c, s in zip(t_owner[order].tolist(), t_count[order].tolist(),
+                       t_scanned[order].tolist()):
+        totals[o] += c
+        scanned[o] += s
+    return visits.tolist(), totals, scanned, stops
+
+
+def _row_dots(d: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, through the same dot kernel as
+    ``np.dot`` on one row (a plain column sum rounds differently)."""
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
+def _leaf_tallies(
+    structure: KDTreeStructure,
+    q: np.ndarray,
+    node: np.ndarray,
+    counts: np.ndarray,
+    radius: float,
+) -> np.ndarray:
+    """:meth:`KDTreeStructure.leaf_tally` for many (query, leaf) rows."""
+    if structure.leaf_points is not None:
+        return np.array([
+            structure.leaf_tally(leaf, row, radius)
+            for leaf, row in zip(node.tolist(), q)
+        ], dtype=np.float64)
+    lo, hi = structure.bbox_lo[node], structure.bbox_hi[node]
+    widths = np.maximum(hi - lo, 1e-300)
+    overlap = np.minimum(hi, q + radius) - np.maximum(lo, q - radius)
+    return counts * np.prod(np.clip(overlap / widths, 0.0, 1.0), axis=1) * 0.5
 
 
 class KDTreeItem(DataItem):
@@ -320,9 +477,9 @@ class KDTreeItem(DataItem):
         per = len(roots) / parts
         for k, root in enumerate(roots):
             groups[min(parts - 1, int(k / per))].append(root)
-        top = TreeRegion.full(geometry)
-        for root in roots:
-            top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
+        top = TreeRegion.full(geometry).difference(
+            TreeRegion.of_subtrees(geometry, roots)
+        )
         regions: list[Region] = []
         for k, group in enumerate(groups):
             region = TreeRegion.of_subtrees(geometry, group)

@@ -120,9 +120,9 @@ class BalancedTree(DataItem):
         for k, root in enumerate(roots):
             groups[k % parts].append(root)
         regions: list[Region] = []
-        top = TreeRegion.full(self.geometry)
-        for root in roots:
-            top = top.difference(TreeRegion.of_subtrees(self.geometry, [root]))
+        top = TreeRegion.full(self.geometry).difference(
+            TreeRegion.of_subtrees(self.geometry, roots)
+        )
         for k, group in enumerate(groups):
             region = TreeRegion.of_subtrees(self.geometry, group)
             if k == 0:

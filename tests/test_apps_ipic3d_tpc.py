@@ -1,15 +1,19 @@
 """Application tests for iPiC3D and TPC."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_mpi
 from repro.apps.tpc import (
+    QueryPlan,
     TPCWorkload,
     make_problem,
     tpc_allscale,
     tpc_mpi,
 )
+from repro.items.kdtree import Visit
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -90,6 +94,48 @@ SMALL_TPC = TPCWorkload(
 )
 
 
+#: a virtual depth-10 tree over a non-power-of-two population: its leaf
+#: tallies are inexact, so float sums depend on the order of their terms
+SYNTHETIC_TPC = TPCWorkload(
+    total_points=1_000_003,
+    radius=31.0,
+    queries_total=24,
+    depth=10,
+    task_subtree_height=5,
+)
+
+
+def reference_plans(problem):
+    """The sequential reference: a per-node stack walk of the top tree,
+    then ``query_from`` for every task root it reaches."""
+    structure, workload = problem.structure, problem.workload
+    radius = workload.radius
+    plans, band_work = [], {}
+    for qi, q in enumerate(problem.queries):
+        plan = QueryPlan(top_count=0.0, top_visits=0)
+        stack = [1]
+        while stack:
+            node = stack.pop()
+            plan.top_visits += 1
+            kind = structure.classify(node, q, radius)
+            if kind is Visit.PRUNE_IN:
+                plan.top_count += float(structure.counts[node])
+            elif kind is not Visit.PRUNE_OUT:
+                if node.bit_length() == problem.task_level:
+                    plan.recurse_roots.append(node)
+                else:
+                    stack.extend(structure.geometry.children(node))
+        plans.append(plan)
+        for root in plan.recurse_roots:
+            stats = structure.query_from(root, q, radius)
+            band_work[(qi, root)] = (
+                stats.visited_nodes * workload.visit_flops
+                + stats.scanned_points * workload.point_flops,
+                stats.count,
+            )
+    return plans, band_work
+
+
 class TestTPC:
     def test_problem_construction(self):
         problem = make_problem(SMALL_TPC, 4)
@@ -104,6 +150,28 @@ class TestTPC:
             assert total.intersect(region).is_empty()
             total = total.union(region)
         assert total.same_elements(problem.item.full_region)
+
+    @pytest.mark.parametrize("workload, nodes", [
+        (SMALL_TPC, 1),
+        (SMALL_TPC, 2),
+        (SMALL_TPC, 4),
+        (SMALL_TPC, 64),  # bands at the leaf level: the task roots are leaves
+        (replace(SMALL_TPC, task_batch=4), 2),
+        *[(replace(SYNTHETIC_TPC, seed=seed), 4) for seed in (1, 2, 3)],
+        # task level 1: the top walk stops at the root
+        (replace(SYNTHETIC_TPC, task_subtree_height=10), 1),
+    ])
+    def test_plans_match_sequential_reference(self, workload, nodes):
+        """make_problem's batched plans equal a scalar top walk plus
+        ``query_from`` per task root, bit for bit and in the same order."""
+        problem = make_problem(workload, nodes)
+        if nodes == 64:
+            assert problem.task_level == problem.structure.depth
+        if nodes == 1 and not workload.functional:
+            assert problem.task_level == 1
+        plans, band_work = reference_plans(problem)
+        assert problem.plans == plans
+        assert list(problem.band_work.items()) == list(band_work.items())
 
     def test_plans_cover_exact_counts(self):
         """Top count + per-root counts must equal the true range count."""
@@ -143,8 +211,6 @@ class TestTPC:
 
     def test_batching_preserves_counts(self):
         """Query aggregation (the §4.2 mitigation) must not change results."""
-        from dataclasses import replace
-
         batched = replace(SMALL_TPC, task_batch=4)
         problem = make_problem(batched, 2)
         result = tpc_allscale(small_cluster(2), batched, problem=problem)
@@ -167,8 +233,6 @@ class TestTPC:
         assert runtime.metrics.counter("sched.remote_dispatch") > 0
 
     def test_queries_total_override(self):
-        from dataclasses import replace
-
         wl = replace(SMALL_TPC, queries_total=10)
         assert wl.total_queries(64) == 10
         assert SMALL_TPC.total_queries(2) == 12

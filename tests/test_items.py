@@ -13,7 +13,36 @@ from repro.items import (
 )
 from repro.regions.box import Box
 from repro.regions.blocked_tree import BlockedTreeRegion
-from repro.regions.tree import TreeRegion
+from repro.regions.tree import TreeGeometry, TreeRegion
+
+
+def assert_top_tree_joins_part_zero(geometry, parts, level):
+    """Part 0 is its band sub-trees plus the tree above ``level``, built
+    here one band root at a time as the reference."""
+    roots = range(1 << (level - 1), 1 << level)
+    top = TreeRegion.full(geometry)
+    for root in roots:
+        top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
+    mine = [root for root in roots if parts[0].contains(root)]
+    assert parts[0] == TreeRegion.of_subtrees(geometry, mine).union(top)
+
+
+def reference_synthetic_arrays(total_points, depth, low, high):
+    """A node-by-node build of the synthetic kd-tree's arrays."""
+    geometry = TreeGeometry(depth)
+    lo = np.zeros((geometry.num_nodes + 1, len(low)))
+    hi = np.zeros_like(lo)
+    counts = np.zeros(geometry.num_nodes + 1)
+    lo[1], hi[1], counts[1] = low, high, total_points
+    for node in range(1, 1 << (depth - 1)):
+        axis = int(np.argmax(hi[node] - lo[node]))
+        mid = 0.5 * (lo[node, axis] + hi[node, axis])
+        for child in (2 * node, 2 * node + 1):
+            lo[child], hi[child] = lo[node], hi[node]
+            counts[child] = counts[node] / 2.0
+        hi[2 * node, axis] = mid
+        lo[2 * node + 1, axis] = mid
+    return lo, hi, counts
 
 
 class TestGridItem:
@@ -173,6 +202,8 @@ class TestBalancedTree:
                 assert total.intersect(part).is_empty()
                 total = total.union(part)
             assert total.same_elements(tree.full_region)
+            if scheme == "flexible":
+                assert_top_tree_joins_part_zero(tree.geometry, parts, level=3)
 
     def test_fragment_values(self):
         tree = BalancedTree(depth=4)
@@ -236,6 +267,20 @@ class TestKDTree:
         tree = synthetic_kdtree(1024.0, depth=4, low=[0, 0], high=[8, 8])
         assert tree.counts[2] == tree.counts[3] == 512
 
+    @pytest.mark.parametrize("args", [
+        (1024.0, 4, [0, 0], [8, 8]),
+        (1_000_003, 10, [0.0] * 7, [100.0] * 7),
+        (2**20, 9, [0, -3, 1], [100, 7, 60]),  # unequal widths
+        (5.0, 1, [0], [1]),
+    ])
+    def test_synthetic_matches_node_by_node_build(self, args):
+        tree = synthetic_kdtree(*args)
+        lo, hi, counts = reference_synthetic_arrays(*args)
+        for built, expected in zip((tree.bbox_lo, tree.bbox_hi, tree.counts),
+                                   (lo, hi, counts)):
+            assert built.dtype == expected.dtype
+            assert np.array_equal(built, expected)
+
     def test_item_and_fragment(self):
         rng = np.random.default_rng(10)
         tree = build_kdtree(rng.uniform(0, 100, (256, 2)), depth=5)
@@ -258,6 +303,7 @@ class TestKDTree:
             assert total.intersect(part).is_empty()
             total = total.union(part)
         assert total.same_elements(item.full_region)
+        assert_top_tree_joins_part_zero(item.geometry, parts, level=3)
 
     def test_build_validation(self):
         with pytest.raises(ValueError):
