@@ -9,22 +9,25 @@ metrics; **strict** mode raises :class:`AdmissionError` on any
 error-severity finding, rejecting the task before a single simulation
 event runs — the static counterpart of the sentinel's strict mode.
 
-Enablement mirrors :mod:`repro.runtime.sentinel`: per-runtime
+The controller is a :class:`~repro.runtime.probes.Probe` subscriber that
+overrides only ``on_submit``.  Enablement mirrors
+:mod:`repro.runtime.sentinel`: per-runtime
 (``AdmissionController(runtime).attach()``), process-wide
 (:func:`enable_globally`, used by ``bench --analyze`` and the CLI), or
-for a whole test run (``REPRO_ANALYZE=1`` / ``warn`` / ``strict``,
-consumed in ``AllScaleRuntime.__init__`` via :func:`attach_from_global`).
+for a whole test run (``REPRO_ANALYZE=1`` / ``warn`` / ``strict``); an
+:class:`~repro.runtime.probes.AutoAttach` registry attaches it to every
+runtime built while enabled.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.expansion import AnalysisConfig
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.program import analyze_task
+from repro.runtime.probes import AutoAttach, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -51,7 +54,7 @@ class AdmissionConfig:
     max_submissions: int = 256
 
 
-class AdmissionController:
+class AdmissionController(Probe):
     """Analyzes one runtime's submissions at the front door."""
 
     def __init__(
@@ -66,14 +69,14 @@ class AdmissionController:
         self.skipped = 0
 
     def attach(self) -> "AdmissionController":
-        if self.runtime.analyzer is not None and self.runtime.analyzer is not self:
+        probes = self.runtime.probes
+        if probes.find(AdmissionController) not in (None, self):
             raise RuntimeError("runtime already has an admission controller")
-        self.runtime.analyzer = self
+        probes.attach(self)
         return self
 
     def detach(self) -> None:
-        if self.runtime.analyzer is self:
-            self.runtime.analyzer = None
+        self.runtime.probes.detach(self)
 
     def on_submit(self, task: "TaskSpec") -> None:
         """Analyze one root submission; raises in strict mode on errors."""
@@ -108,60 +111,14 @@ class AdmissionController:
 
 # -- process-wide enablement (bench --analyze, REPRO_ANALYZE=1) -----------------
 
-#: explicit-off marker: distinguishes "never configured, fall back to the
-#: environment variable" (None) from "switched off programmatically"
-_DISABLED = object()
-_global_config: object = None
-#: controllers created while global enablement was active (drained by the
-#: CLI, the bench reporter, and the test fixture)
-_created: list[AdmissionController] = []
-
-
-def enable_globally(config: AdmissionConfig | None = None) -> None:
-    """Attach admission to every :class:`AllScaleRuntime` created from now on."""
-    global _global_config
-    _global_config = config or AdmissionConfig()
-    _created.clear()
-
-
-def disable_globally() -> None:
-    """Switch auto-attachment off, overriding ``REPRO_ANALYZE`` too.
-
-    Seeded-defect tests use this: they submit deliberately broken task
-    trees and run the analyzer by hand instead.
-    """
-    global _global_config
-    _global_config = _DISABLED
-
-
-def reset_global() -> None:
-    """Back to the default: enabled iff ``REPRO_ANALYZE`` is set."""
-    global _global_config
-    _global_config = None
-
-
-def global_config() -> AdmissionConfig | None:
-    """Active process-wide config, if any (``REPRO_ANALYZE`` counts)."""
-    if _global_config is _DISABLED:
-        return None
-    if _global_config is not None:
-        return _global_config  # type: ignore[return-value]
-    value = os.environ.get("REPRO_ANALYZE", "0").strip().lower()
-    if value in ("", "0"):
-        return None
-    return AdmissionConfig(strict=value == "strict")
-
-
-def drain_created() -> list[AdmissionController]:
-    """Return and forget the controllers auto-attached since the last drain."""
-    out, _created[:] = list(_created), []
-    return out
-
-
-def attach_from_global(runtime: "AllScaleRuntime") -> None:
-    """Auto-attach admission if process-wide enablement is active."""
-    config = global_config()
-    if config is None:
-        return
-    controller = AdmissionController(runtime, config).attach()
-    _created.append(controller)
+_auto = AutoAttach(
+    lambda runtime, config: AdmissionController(runtime, config).attach(),
+    env="REPRO_ANALYZE",
+    from_env=lambda value: AdmissionConfig(strict=value == "strict"),
+)
+# seeded-defect tests switch it off (``disable_globally``) to submit
+# broken task trees and run the analyzer by hand
+enable_globally, disable_globally, reset_global = (
+    _auto.enable, _auto.disable, _auto.reset
+)
+global_config, drain_created = _auto.config, _auto.drain

@@ -30,7 +30,6 @@ from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.transfers import ReplicaCache, TransferPlan
-from repro.verify import monitor as _verify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import RuntimeProcess
@@ -44,6 +43,7 @@ class DataItemManager:
 
     def __init__(self, process: "RuntimeProcess") -> None:
         self.process = process
+        self.probes = process.probes
         self.fragments: dict[DataItem, Fragment] = {}
         self.owned: dict[DataItem, Region] = {}
         # regions whose ownership already arrived here but whose bytes are
@@ -87,22 +87,22 @@ class DataItemManager:
         return self.present_region(item).difference(self.owned_region(item))
 
     def in_flight_region(self, item: DataItem) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("inflight", self.pid, item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("inflight", self.pid, item.name))
         region = self._in_flight.get(item)
         return region if region is not None else item.empty_region()
 
     def _mark_in_flight(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("inflight", self.pid, item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("inflight", self.pid, item.name), region)
         self._in_flight[item] = self.in_flight_region(item).union(region)
 
     def _clear_in_flight(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("inflight", self.pid, item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("inflight", self.pid, item.name), region)
         remaining = self.in_flight_region(item).difference(region)
         if remaining.is_empty():
             self._in_flight.pop(item, None)
@@ -118,22 +118,22 @@ class DataItemManager:
         return future
 
     def fetching_region(self, item: DataItem) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("fetching", self.pid, item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("fetching", self.pid, item.name))
         region = self._fetching.get(item)
         return region if region is not None else item.empty_region()
 
     def _mark_fetching(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("fetching", self.pid, item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("fetching", self.pid, item.name), region)
         self._fetching[item] = self.fetching_region(item).union(region)
 
     def _clear_fetching(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("fetching", self.pid, item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("fetching", self.pid, item.name), region)
         remaining = self.fetching_region(item).difference(region)
         if remaining.is_empty():
             self._fetching.pop(item, None)
@@ -175,9 +175,9 @@ class DataItemManager:
         # MemoryExhaustedError must not leave present-but-unowned bytes
         self.process.node.allocate(added_bytes)
         fragment.resize(grown)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, region, "allocate")
+        probe = self.probes.active
+        if probe is not None:
+            probe.frag_write(self.pid, item, region, "allocate")
         self.owned[item] = self.owned_region(item).union(region)
         # a local replica of an unowned region (e.g. orphaned by a node
         # failure) may be claimed here: it is now owned, not replicated
@@ -192,30 +192,30 @@ class DataItemManager:
         runtime = self.process.runtime
         part = self.owned_region(item).intersect(region)
         fragment = self.fragment(item)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, part, "migrate-out")
+        probe = self.probes.active
+        if probe is not None:
+            probe.frag_write(self.pid, item, part, "migrate-out")
         payload = fragment.extract(part)
         fragment.resize(fragment.region.difference(part))
         self.process.node.free(item.region_bytes(part))
         self.owned[item] = self.owned_region(item).difference(part)
         runtime.index.update_ownership(item, self.pid, self.owned[item])
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_export(self.pid, item, payload)
+        if probe is not None:
+            probe.on_payload_export(self.pid, item, payload)
         runtime.metrics.incr("dm.exports")
         return payload
 
     def import_owned(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice migrated-in data; ownership follows the data."""
         runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_payload_import(self.pid, item, payload)
         fragment = self.fragment(item)
         added = payload.region.difference(fragment.region)
         self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "migrate-in")
+        if probe is not None:
+            probe.frag_write(self.pid, item, payload.region, "migrate-in")
         fragment.insert(payload)
         self.owned[item] = self.owned_region(item).union(payload.region)
         # data this process previously held as a replica is now owned here
@@ -227,14 +227,14 @@ class DataItemManager:
     def insert_replica(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice replicated (read-only) data; ownership unchanged."""
         runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_payload_import(self.pid, item, payload)
         fragment = self.fragment(item)
         added = payload.region.difference(fragment.region)
         self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "replica-in")
+        if probe is not None:
+            probe.frag_write(self.pid, item, payload.region, "replica-in")
         fragment.insert(payload)
         # anything that became locally *owned* while the payload was in
         # transit (a concurrent write staging here) is not a replica
@@ -249,9 +249,9 @@ class DataItemManager:
         if victim.is_empty():
             return
         fragment = self.fragment(item)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, victim, "invalidate")
+        probe = self.probes.active
+        if probe is not None:
+            probe.frag_write(self.pid, item, victim, "invalidate")
         fragment.resize(fragment.region.difference(victim))
         self.process.node.free(item.region_bytes(victim))
         self.process.runtime.unregister_replica(item, self.pid, victim)
@@ -506,14 +506,14 @@ class DataItemManager:
     def _store_payload(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice arrived bytes into the fragment (ownership already here)."""
         runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_payload_import(self.pid, item, payload)
         fragment = self.fragment(item)
         added = payload.region.difference(fragment.region)
         self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "migrate-land")
+        if probe is not None:
+            probe.frag_write(self.pid, item, payload.region, "migrate-land")
         fragment.insert(payload)
         runtime.metrics.incr("dm.imports")
 
@@ -632,9 +632,9 @@ class DataItemManager:
             if part.is_empty():
                 continue
             yield peer.node.execute(cfg.fragment_op_overhead)
-            monitor = _verify.current
-            if monitor is not None:
-                monitor.frag_read(owner, item, part, "replica-read")
+            probe = self.probes.active
+            if probe is not None:
+                probe.frag_read(owner, item, part, "replica-read")
             payload = peer.data_manager.fragment(item).extract(part)
             yield network.send(owner, self.pid, max(1, payload.nbytes))
             yield self.process.node.execute(cfg.fragment_op_overhead)
@@ -706,13 +706,13 @@ class DataItemManager:
         for piece in pieces[1:]:
             union = union.union(piece)
         yield peer.node.execute(cfg.fragment_op_overhead)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_read(owner, item, union, "replica-read")
+        probe = self.probes.active
+        if probe is not None:
+            probe.frag_read(owner, item, union, "replica-read")
         payload = peer.data_manager.fragment(item).extract(union)
         sizes = [item.region_bytes(piece) for piece in pieces]
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_coalesced_transfer(
+        if probe is not None:
+            probe.on_coalesced_transfer(
                 owner, self.pid, item, payload, pieces, sizes
             )
         yield network.send_bulk(

@@ -30,8 +30,8 @@ from typing import Generator
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.probes import ProbeHub
 from repro.sim.network import Network
-from repro.verify import monitor as _verify
 
 
 class HierarchicalIndex:
@@ -42,6 +42,7 @@ class HierarchicalIndex:
         network: Network,
         num_processes: int,
         control_message_bytes: int = 96,
+        probes: ProbeHub | None = None,
     ) -> None:
         if num_processes < 1:
             raise ValueError("num_processes must be >= 1")
@@ -70,9 +71,8 @@ class HierarchicalIndex:
         self._lookup_cache: dict[tuple[int, DataItem], dict] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        #: optional invariant sentinel, notified after each applied update
-        #: (set by RuntimeSentinel.attach)
-        self.sentinel = None
+        #: the owning runtime's observer seam
+        self.probes = probes if probes is not None else ProbeHub()
 
     # -- elastic membership -----------------------------------------------------------
 
@@ -132,9 +132,9 @@ class HierarchicalIndex:
         self._items.add(item)
 
     def covered(self, item: DataItem, level: int, root: int) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("own", item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("own", item.name))
         region = self._cover.get((item, level, root))
         return region if region is not None else item.empty_region()
 
@@ -189,13 +189,12 @@ class HierarchicalIndex:
             if host != process:
                 self.update_messages += 1
                 self.network.send(process, host, self.control_message_bytes)
-        monitor = _verify.current
-        if monitor is not None:
+        probe = self.probes.active
+        if probe is not None:
             # publish the new covers: lookups that observe them (via
             # ``covered``) order after this update
-            monitor.sync_release(("own", item.name))
-        if self.sentinel is not None:
-            self.sentinel.on_ownership_update(item, process, new_region)
+            probe.sync_release(("own", item.name))
+            probe.on_ownership_update(item, process, new_region)
 
     # -- Algorithm 1: region location resolution ------------------------------------------
 

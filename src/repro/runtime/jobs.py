@@ -18,18 +18,21 @@ task-level machinery consumes back to the job (and hence to its tenant):
   exceptions through shared engine state), and the service settles the
   overrun when the job completes.
 
-A runtime without a job context (``runtime.job_context is None`` — every
-one-shot run) pays nothing: the hooks are a single attribute test on
-paths that already do orders of magnitude more work.
+The context is a :class:`~repro.runtime.probes.Probe` subscriber: the
+service attaches it with ``runtime.probes.attach(context)`` and it counts
+the dispatch and leaf-finished events.  A one-shot run attaches none and
+pays nothing beyond the probe seam's ``None`` test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.runtime.probes import Probe
+
 
 @dataclass(slots=True)
-class JobContext:
+class JobContext(Probe):
     """Per-job accounting attached to one runtime over a shared cluster."""
 
     #: service-assigned job identifier (stable across status queries)
@@ -51,11 +54,15 @@ class JobContext:
     #: sticky flag: the cap was exceeded at some leaf boundary
     over_budget: bool = field(default=False)
 
-    def on_dispatch(self, remote: bool) -> None:
+    def on_task_dispatched(self, task, origin: int, target: int) -> None:
         """One task placed by the scheduler for this job."""
         self.tasks_dispatched += 1
-        if remote:
+        if target != origin:
             self.remote_dispatches += 1
+
+    def on_task_finished(self, task, treeture, pid, now, cost) -> None:
+        if cost is not None:  # offloaded leaves charge no core time
+            self.on_leaf(cost)
 
     def on_leaf(self, cost_seconds: float) -> None:
         """One leaf executed, charging ``cost_seconds`` of core time."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.analysis.admission import attach_from_global as attach_analysis
+# imported for its auto-attach registry (REPRO_ANALYZE, bench --analyze)
+from repro.analysis import admission as _admission  # noqa: F401
 from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint, corner_bounds
@@ -28,12 +29,13 @@ from repro.regions.kernel import get_kernel
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.index import HierarchicalIndex
 from repro.runtime.policies import DataAwarePolicy, SchedulingPolicy
+from repro.runtime.probes import ProbeHub, attach_from_global
 from repro.runtime.process import RuntimeProcess
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sentinel import attach_from_global
+from repro.runtime.sentinel import RuntimeSentinel
 from repro.runtime.tasks import TaskSpec, Treeture
+from repro.runtime.tracing import ExecutionTracer
 from repro.sim.cluster import Cluster
-from repro.verify import monitor as _verify
 
 
 class AllScaleRuntime:
@@ -54,10 +56,14 @@ class AllScaleRuntime:
         self.engine = cluster.engine
         self.network = cluster.network
         self.metrics = cluster.metrics
+        #: the observer seam (repro.runtime.probes): sentinel, tracer,
+        #: admission, job accounting and the verify monitor subscribe here
+        self.probes = ProbeHub()
         self.index = HierarchicalIndex(
             self.network,
             cluster.num_nodes,
             self.config.control_message_bytes,
+            self.probes,
         )
         self.scheduler = Scheduler(self)
         self.processes = [
@@ -76,16 +82,6 @@ class AllScaleRuntime:
         ] = {}
         self._intent_seq = 0
         self._intent_waiters: list = []
-        #: optional per-task lifecycle tracing (repro.runtime.tracing)
-        self.tracer = None
-        #: optional invariant sentinel (repro.runtime.sentinel)
-        self.sentinel = None
-        #: optional submit-time admission controller (repro.analysis.admission)
-        self.analyzer = None
-        #: optional job-level accounting context (repro.runtime.jobs) —
-        #: set by the service layer when this runtime executes one tenant
-        #: job over a shared cluster
-        self.job_context = None
         #: optional periodic load balancer; created (but not started) when
         #: the config asks for it — drivers start it around the measured
         #: phase and stop it before returning, so the event loop drains
@@ -101,14 +97,29 @@ class AllScaleRuntime:
         # kernel counters are process-wide; remember the creation-time
         # snapshot so this runtime's metrics report only its own activity
         self._region_stats_base = get_kernel().stats()
-        # honor process-wide sentinel enablement (REPRO_SENTINEL=1,
-        # bench --sentinel, the tier-1 sentinel fixture)
+        # honor process-wide enablement (REPRO_SENTINEL=1, REPRO_ANALYZE=1,
+        # bench --sentinel / --analyze, the tier-1 sentinel fixture)
         attach_from_global(self)
-        # honor process-wide admission enablement (REPRO_ANALYZE=1,
-        # bench --analyze, the analysis CLI targets)
-        attach_analysis(self)
 
     # -- structure ---------------------------------------------------------------
+
+    @property
+    def sentinel(self) -> RuntimeSentinel | None:
+        """The attached invariant sentinel, if any."""
+        return self.probes.find(RuntimeSentinel)
+
+    @property
+    def tracer(self) -> ExecutionTracer | None:
+        """The attached per-task lifecycle tracer, if any."""
+        return self.probes.find(ExecutionTracer)
+
+    @tracer.setter
+    def tracer(self, tracer: ExecutionTracer | None) -> None:
+        previous = self.tracer
+        if previous is not None:
+            self.probes.detach(previous)
+        if tracer is not None:
+            self.probes.attach(tracer)
 
     @property
     def num_processes(self) -> int:
@@ -158,8 +169,9 @@ class AllScaleRuntime:
             homes = None
         self._home_maps[item] = homes
         self._items.append(item)
-        if self.sentinel is not None:
-            self.sentinel.on_item_registered(item)
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_item_registered(item)
         if placement is not None:
             if len(placement) != self.num_processes:
                 raise ValueError(
@@ -176,9 +188,10 @@ class AllScaleRuntime:
 
     def destroy_item(self, item: DataItem) -> None:
         """Drop an item's fragments and bookkeeping (the *destroy* action)."""
-        if self.sentinel is not None:
+        probe = self.probes.active
+        if probe is not None:
             # sanctioned coverage drop: stop tracking before the teardown
-            self.sentinel.on_item_destroyed(item)
+            probe.on_item_destroyed(item)
         for process in self.processes:
             manager = process.data_manager
             fragment = manager.fragments.pop(item, None)
@@ -281,9 +294,10 @@ class AllScaleRuntime:
             for waiter in pending:
                 waiter.complete(None)
         process.node.memory_used = 0.0
-        if self.sentinel is not None:
+        probe = self.probes.active
+        if probe is not None:
             # sanctioned coverage drop: re-baseline global coverage
-            self.sentinel.on_process_failed(pid)
+            probe.on_process_failed(pid)
         self.metrics.incr("runtime.node_failures")
 
     def alive_processes(self) -> list[int]:
@@ -323,17 +337,17 @@ class AllScaleRuntime:
     # -- replica registry ---------------------------------------------------------------
 
     def register_replica(self, item: DataItem, pid: int, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("rep", item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("rep", item.name), region)
         holders = self._replicas.setdefault(item, {})
         current = holders.get(pid, item.empty_region())
         holders[pid] = current.union(region)
 
     def unregister_replica(self, item: DataItem, pid: int, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("rep", item.name), region)
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_release(("rep", item.name), region)
         holders = self._replicas.get(item)
         if not holders or pid not in holders:
             return
@@ -344,9 +358,9 @@ class AllScaleRuntime:
             holders[pid] = remaining
 
     def replica_holders(self, item: DataItem) -> dict[int, Region]:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("rep", item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("rep", item.name))
         return dict(self._replicas.get(item, {}))
 
     # -- write-intent reservations ----------------------------------------------------
@@ -368,10 +382,10 @@ class AllScaleRuntime:
         still fetching, or the pair ping-pongs re-fetch against
         invalidation until the fetch loop gives up.
         """
-        monitor = _verify.current
-        if monitor is not None:
+        probe = self.probes.active
+        if probe is not None:
             for item in set(regions) | set(reads or {}):
-                monitor.sync_release(("intent", item.name))
+                probe.sync_release(("intent", item.name))
         self._intent_seq += 1
         # bounding corners are precomputed so the blocked-check can
         # reject non-overlapping intents without touching the region
@@ -395,11 +409,11 @@ class AllScaleRuntime:
     def clear_write_intent(self, owner: object) -> None:
         entry = self._write_intents.pop(id(owner), None)
         if entry is not None:
-            monitor = _verify.current
-            if monitor is not None:
+            probe = self.probes.active
+            if probe is not None:
                 _seq, _pid, regions, reads, _ref = entry
                 for item in set(regions) | set(reads):
-                    monitor.sync_release(("intent", item.name))
+                    probe.sync_release(("intent", item.name))
             self._signal_intent_change()
 
     def write_intent_blocked(
@@ -419,9 +433,9 @@ class AllScaleRuntime:
         replicas an older stager is still assembling.  Readers never
         block on reads, so the reader-side gates leave it off.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("intent", item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("intent", item.name))
         if not self._write_intents:
             return False
         own = self._write_intents.get(id(owner)) if owner is not None else None
@@ -469,9 +483,9 @@ class AllScaleRuntime:
         waits for local locks at each holder, exactly like the *migrate*
         guard would.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("rep", item.name))
+        probe = self.probes.active
+        if probe is not None:
+            probe.sync_acquire(("rep", item.name))
         holders = self._replicas.get(item, {})
         for pid in sorted(holders):
             if pid == keeper:
@@ -501,11 +515,12 @@ class AllScaleRuntime:
         ``after`` defers placement until the listed treetures complete —
         dependency chaining without a global barrier.
         """
-        if self.analyzer is not None:
+        probe = self.probes.active
+        if probe is not None:
             # static admission sees root submissions only: children
             # re-dispatched during splitting go through scheduler.assign
             # directly, and the expansion already covered them
-            self.analyzer.on_submit(task)
+            probe.on_submit(task)
         return self.scheduler.assign(task, origin=origin, after=after)
 
     def spawn(self, gen: Generator):
@@ -524,8 +539,9 @@ class AllScaleRuntime:
                     f"event queue drained but {treeture!r} never completed "
                     "(lost dependency or deadlock)"
                 )
-        if self.sentinel is not None:
-            self.sentinel.verify_all()
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_barrier()
         self.sync_region_metrics()
         return treeture.value
 
@@ -538,8 +554,9 @@ class AllScaleRuntime:
                 raise RuntimeError(
                     "event queue drained but the driver never returned"
                 )
-        if self.sentinel is not None:
-            self.sentinel.verify_all()
+        probe = self.probes.active
+        if probe is not None:
+            probe.on_barrier()
         self.sync_region_metrics()
         return future.value
 

@@ -94,9 +94,9 @@ class Scheduler:
             lookup = yield from self._locate_requirements(task, origin)
         target = self._choose_target(task, lookup, origin)
 
-        job = runtime.job_context
-        if job is not None:
-            job.on_dispatch(remote=target != origin)
+        probe = runtime.probes.active
+        if probe is not None:
+            probe.on_task_dispatched(task, origin, target)
         if target != origin:
             runtime.metrics.incr("sched.remote_dispatch")
             # closure serialization at the origin, parcel decode at the
@@ -195,10 +195,10 @@ class Scheduler:
         coalesce into a single bulk message, charged once on the NIC."""
         runtime = self.runtime
         cfg = runtime.config
-        job = runtime.job_context
-        if job is not None:
-            for _ in entries:
-                job.on_dispatch(remote=target != origin)
+        probe = runtime.probes.active
+        if probe is not None:
+            for task, *_ in entries:
+                probe.on_task_dispatched(task, origin, target)
         if target != origin:
             runtime.metrics.incr("sched.remote_dispatch", len(entries))
             runtime.metrics.incr("comms.batched_dispatches")

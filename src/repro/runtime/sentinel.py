@@ -6,10 +6,10 @@ analogues *while the implementation runs*, at the transition points where
 a scheduler, lock-table, index, or resilience bug would violate them:
 
 =====================  =====================================================
-§2.5 property          runtime-level check (hook point)
+§2.5 property          runtime-level check (probe event)
 =====================  =====================================================
 single execution       each submitted :class:`TaskSpec` enters leaf
-                       execution at most once (``on_task_start``)
+                       execution at most once (``on_task_started``)
 satisfied reqs.        at dispatch the executing process owns the write
                        set, holds all accessed data locally, covers it
                        with its own locks, and nothing is still in flight
@@ -17,8 +17,7 @@ satisfied reqs.        at dispatch the executing process owns the write
 exclusive writes       a granted write hold never overlaps another owner's
                        hold in any process's :class:`LockTable`, and no
                        remote address space holds bytes of the written
-                       region (``on_locks_acquired`` / ``on_task_executing``
-                       / periodic scan)
+                       region (``on_task_executing`` / periodic scan)
 data preservation      the global owned coverage of every live item never
                        shrinks except through *destroy* or node failure,
                        and every fragment payload carries exactly
@@ -31,10 +30,12 @@ termination            the engine draining with queued/active tasks, held
                        already raises on a drained-but-incomplete queue)
 =====================  =====================================================
 
-The sentinel is opt-in and always-on once attached: it registers as a
-:class:`~repro.sim.engine.SimEngine` listener and runs a full coherence
-scan every ``scan_stride`` events plus whenever ``runtime.wait`` reaches a
-barrier.  Violations become structured :class:`Violation` reports (item,
+The sentinel is opt-in and always-on once attached: it subscribes to the
+runtime's probe seam (:mod:`repro.runtime.probes`) for the transition
+events above, registers as a :class:`~repro.sim.engine.SimEngine`
+listener, and runs a full coherence scan every ``scan_stride`` events
+plus at every ``on_barrier`` (``runtime.wait`` returning, a service job
+draining).  Violations become structured :class:`Violation` reports (item,
 region, holders, simulated timestamp, task provenance), surface as
 ``sentinel.*`` counters in ``runtime.metrics``, and — in strict mode —
 raise :class:`SentinelViolationError` at the exact event that broke the
@@ -42,17 +43,18 @@ invariant.
 
 Enable it per-runtime (``RuntimeSentinel(runtime).attach()``), process-wide
 (:func:`enable_globally`, used by the ``--sentinel`` bench flag), or for a
-whole test run (``REPRO_SENTINEL=1``, consumed by ``tests/conftest.py``).
+whole test run (``REPRO_SENTINEL=1``): an :class:`~repro.runtime.probes.
+AutoAttach` registry attaches it to every runtime built while enabled.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.items.base import DataItem, FragmentPayload
 from repro.regions.bounds import NO_BOUNDS, bounds_disjoint, corner_bounds
+from repro.runtime.probes import AutoAttach, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.resilience import Checkpoint
@@ -107,10 +109,10 @@ class SentinelConfig:
     #: run the full coherence scan every N engine events (0 disables the
     #: periodic scan; barrier scans in ``runtime.wait`` still run)
     scan_stride: int = 4096
-    #: deep-verify every Nth leaf-task dispatch (requirements at
-    #: ``on_task_executing``, double grants at ``on_locks_acquired``); the
-    #: cheap hooks (single execution, payload bytes, ownership updates)
-    #: always run.  1 = exhaustive (the test default).
+    #: deep-verify every Nth leaf-task dispatch (double grants and
+    #: requirements at ``on_task_executing``); the cheap checks (single
+    #: execution, payload bytes, ownership updates) always run.
+    #: 1 = exhaustive (the test default).
     task_stride: int = 1
 
     @classmethod
@@ -131,58 +133,7 @@ _NO_BOUNDS = NO_BOUNDS
 _bounds_disjoint = bounds_disjoint
 
 
-# -- process-wide enablement (bench --sentinel, REPRO_SENTINEL=1) ---------------
-
-#: explicit-off marker: distinguishes "never configured, fall back to the
-#: environment variable" (None) from "switched off programmatically"
-_DISABLED = object()
-_global_config: object = None
-#: sentinels created while global enablement was active (drained by the
-#: test fixture and the bench reporter)
-_created: list["RuntimeSentinel"] = []
-
-
-def enable_globally(config: SentinelConfig | None = None) -> None:
-    """Attach a sentinel to every :class:`AllScaleRuntime` created from now on."""
-    global _global_config
-    _global_config = config or SentinelConfig()
-    _created.clear()
-
-
-def disable_globally() -> None:
-    """Switch auto-attachment off, overriding ``REPRO_SENTINEL`` too.
-
-    Fault-injection tests use this: they build broken runtime states on
-    purpose and attach their own non-strict sentinels.
-    """
-    global _global_config
-    _global_config = _DISABLED
-
-
-def reset_global() -> None:
-    """Back to the default: enabled iff ``REPRO_SENTINEL`` is set."""
-    global _global_config
-    _global_config = None
-
-
-def global_config() -> SentinelConfig | None:
-    """Active process-wide config, if any (env var ``REPRO_SENTINEL`` counts)."""
-    if _global_config is _DISABLED:
-        return None
-    if _global_config is not None:
-        return _global_config  # type: ignore[return-value]
-    if os.environ.get("REPRO_SENTINEL", "0") not in ("", "0"):
-        return SentinelConfig()
-    return None
-
-
-def drain_created() -> list["RuntimeSentinel"]:
-    """Return and forget the sentinels auto-attached since the last drain."""
-    out, _created[:] = list(_created), []
-    return out
-
-
-class RuntimeSentinel:
+class RuntimeSentinel(Probe):
     """Continuously validates one runtime against the §2.5 properties."""
 
     def __init__(
@@ -200,7 +151,6 @@ class RuntimeSentinel:
         self._attached = False
         self._events_seen = 0
         self._tasks_seen = 0
-        self._grants_seen = 0
         #: id(region) -> (region ref, bounds) — the ref pins the id
         self._bounds_cache: dict[int, tuple[Any, Any]] = {}
         #: items currently tracked (registered and not destroyed)
@@ -215,14 +165,13 @@ class RuntimeSentinel:
     # -- lifecycle -----------------------------------------------------------------
 
     def attach(self) -> "RuntimeSentinel":
-        """Hook the runtime's components and event loop; returns self."""
+        """Subscribe to the runtime's probes and event loop; returns self."""
         if self._attached:
             return self
         runtime = self.runtime
-        if runtime.sentinel is not None and runtime.sentinel is not self:
+        if runtime.probes.find(RuntimeSentinel) not in (None, self):
             raise RuntimeError("runtime already has a sentinel attached")
-        runtime.sentinel = self
-        runtime.index.sentinel = self
+        runtime.probes.attach(self)
         runtime.engine.add_listener(self._on_event)
         for item in runtime.items:
             self.on_item_registered(item)
@@ -233,10 +182,7 @@ class RuntimeSentinel:
         if not self._attached:
             return
         self.runtime.engine.remove_listener(self._on_event)
-        if self.runtime.index.sentinel is self:
-            self.runtime.index.sentinel = None
-        if self.runtime.sentinel is self:
-            self.runtime.sentinel = None
+        self.runtime.probes.detach(self)
         self._attached = False
 
     # -- reporting -----------------------------------------------------------------
@@ -338,7 +284,7 @@ class RuntimeSentinel:
 
     # -- task lifecycle hooks --------------------------------------------------------
 
-    def on_task_start(self, task: "TaskSpec", pid: int) -> None:
+    def on_task_started(self, task: "TaskSpec", treeture, pid: int, now) -> None:
         """Single execution: no task enters leaf execution twice."""
         self._check()
         previous = self._started.get(id(task))
@@ -352,12 +298,14 @@ class RuntimeSentinel:
             return
         self._started[id(task)] = (task, pid)
 
-    def on_task_executing(self, task: "TaskSpec", pid: int) -> None:
-        """Satisfied requirements + exclusive writes at the start rule."""
+    def on_task_executing(self, task: "TaskSpec", treeture, pid: int, now) -> None:
+        """Fresh grants, satisfied requirements and exclusive writes at the
+        start rule (every ``task_stride``-th leaf)."""
         self._tasks_seen += 1
         stride = self.config.task_stride
         if stride > 1 and self._tasks_seen % stride:
             return
+        self._check_grant(pid, task)
         runtime = self.runtime
         manager = runtime.process(pid).data_manager
         locks = runtime.process(pid).locks
@@ -457,23 +405,17 @@ class RuntimeSentinel:
                     task=task.name,
                 )
 
-    def on_task_finish(self, task: "TaskSpec", pid: int) -> None:
+    def on_task_finished(self, task, treeture, pid, now, cost) -> None:
         self._check()
 
-    # -- lock-table hooks -------------------------------------------------------------
-
-    def on_locks_acquired(self, pid: int, owner: object) -> None:
+    def _check_grant(self, pid: int, owner: object) -> None:
         """Double-grant detection: a fresh grant never conflicts locally.
 
-        Cross-process exclusion is deliberately *not* checked here — a
-        transient grant that fails requirement re-verification is released
-        within the same event; it is checked at ``on_task_executing`` and
-        by the periodic scan, which only observe settled states.
+        Cross-process exclusion is checked by the requirement checks that
+        follow and by the periodic scan: both observe settled states only
+        (a transient grant that fails requirement re-verification is
+        released within the same event).
         """
-        self._grants_seen += 1
-        stride = self.config.task_stride
-        if stride > 1 and self._grants_seen % stride:
-            return
         self._check()
         table = self.runtime.process(pid).locks
         for hold in table._holds:
@@ -756,6 +698,9 @@ class RuntimeSentinel:
 
     # -- full coherence scan -------------------------------------------------------------
 
+    def on_barrier(self) -> None:
+        self.verify_all()
+
     def _global_owned(self, item: DataItem):
         region = item.empty_region()
         for process in self.runtime.processes:
@@ -941,10 +886,16 @@ class RuntimeSentinel:
                     )
 
 
-def attach_from_global(runtime: "AllScaleRuntime") -> None:
-    """Auto-attach a sentinel if process-wide enablement is active."""
-    config = global_config()
-    if config is None:
-        return
-    sentinel = RuntimeSentinel(runtime, config).attach()
-    _created.append(sentinel)
+# -- process-wide enablement (bench --sentinel, REPRO_SENTINEL=1) ---------------
+
+_auto = AutoAttach(
+    lambda runtime, config: RuntimeSentinel(runtime, config).attach(),
+    env="REPRO_SENTINEL",
+    from_env=lambda value: SentinelConfig(),
+)
+# fault-injection tests switch it off (``disable_globally``) to build
+# broken states under their own non-strict sentinels
+enable_globally, disable_globally, reset_global = (
+    _auto.enable, _auto.disable, _auto.reset
+)
+global_config, drain_created = _auto.config, _auto.drain

@@ -1,9 +1,11 @@
 """Per-task execution tracing and timeline rendering.
 
-An optional deep-inspection layer over the monitoring component: when an
-:class:`ExecutionTracer` is attached to a runtime, every leaf task records
-its lifecycle timestamps — enqueue, handling start, data staged, locks
-acquired, compute done — and where it ran.  The tracer can then report
+An optional deep-inspection layer over the monitoring component: an
+:class:`ExecutionTracer` subscribes to the runtime's probe seam
+(:mod:`repro.runtime.probes`) and records, for every leaf task, its
+lifecycle timestamps — enqueue, handling start, data staged, locks
+acquired, compute done — and the process that ran it (a stolen task is
+attributed to the thief, where it started).  The tracer can then report
 
 * per-task phase breakdowns (queueing vs. data staging vs. lock waiting
   vs. compute),
@@ -16,6 +18,8 @@ which is how the task-overhead findings in EXPERIMENTS.md were diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.runtime.probes import Probe
 
 
 @dataclass
@@ -75,10 +79,11 @@ class PhaseBreakdown:
         }
 
 
-class ExecutionTracer:
+class ExecutionTracer(Probe):
     """Collects :class:`TaskRecord` entries from a runtime's processes.
 
-    Attach before submitting work::
+    Attach before submitting work (``runtime.tracer = tracer`` swaps the
+    runtime's tracer subscriber; ``runtime.probes.attach`` works too)::
 
         tracer = ExecutionTracer()
         runtime.tracer = tracer
@@ -91,30 +96,33 @@ class ExecutionTracer:
         self.max_records = max_records
         self._open: dict[object, TaskRecord] = {}
 
-    # -- hooks (called by RuntimeProcess) --------------------------------------
+    # -- probe events (leaf tasks, keyed by treeture) ---------------------------
 
-    def on_enqueue(self, key: object, name: str, pid: int, now: float) -> None:
+    def on_task_enqueued(self, task, treeture, variant, pid, now) -> None:
+        if variant == "split":
+            return
         if len(self.records) + len(self._open) >= self.max_records:
             return
-        self._open[key] = TaskRecord(name=name, pid=pid, enqueued=now)
+        self._open[treeture] = TaskRecord(name=task.name, pid=pid, enqueued=now)
 
-    def on_start(self, key: object, now: float) -> None:
-        record = self._open.get(key)
+    def on_task_started(self, task, treeture, pid, now) -> None:
+        record = self._open.get(treeture)
         if record:
             record.started = now
+            record.pid = pid
 
-    def on_data_ready(self, key: object, now: float) -> None:
-        record = self._open.get(key)
+    def on_task_staged(self, task, treeture, pid, now) -> None:
+        record = self._open.get(treeture)
         if record:
             record.data_ready = now
 
-    def on_locks_held(self, key: object, now: float) -> None:
-        record = self._open.get(key)
+    def on_task_executing(self, task, treeture, pid, now) -> None:
+        record = self._open.get(treeture)
         if record:
             record.locks_held = now
 
-    def on_finish(self, key: object, now: float) -> None:
-        record = self._open.pop(key, None)
+    def on_task_finished(self, task, treeture, pid, now, cost) -> None:
+        record = self._open.pop(treeture, None)
         if record:
             record.finished = now
             self.records.append(record)

@@ -171,8 +171,9 @@ class TransferPlan:
         refetched = self.refetched_bytes()
         if refetched:
             metrics.incr("comms.refetched_bytes", refetched)
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_plan_finished(self)
+        probe = runtime.probes.active
+        if probe is not None:
+            probe.on_plan_finished(self)
 
     def __repr__(self) -> str:
         return (

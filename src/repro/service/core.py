@@ -306,7 +306,7 @@ class ServiceCore:
             tenant=record.spec.tenant,
             node_seconds_cap=runtime.config.job_node_seconds_cap,
         )
-        runtime.job_context = context
+        runtime.probes.attach(context)
         record.context = context
         for item in program.items:
             runtime.register_item(item)
@@ -335,8 +335,9 @@ class ServiceCore:
             values = yield runtime.engine.all_of(
                 [t.future for t in treetures]
             )
-        if runtime.sentinel is not None:
-            runtime.sentinel.verify_all()
+        probe = runtime.probes.active
+        if probe is not None:
+            probe.on_barrier()
         if program.finalize is not None:
             return program.finalize(values)
         return None

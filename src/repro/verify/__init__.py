@@ -21,8 +21,4 @@ schedules instead:
   PR-8 protocol fixes, used to prove the checker rediscovers both bugs.
 
 Run ``python -m repro.verify --help`` for the CLI.
-
-This module stays import-light: runtime modules import
-``repro.verify.monitor`` at module load, so nothing here may import the
-runtime back.
 """

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.findings import Finding
-from repro.verify import monitor as monitor_mod
+from repro.runtime.probes import AutoAttach
 from repro.verify.monitor import FootprintOp, VerifyMonitor, ops_conflict
 from repro.verify.oracle import (
     ChoicePoint,
@@ -39,6 +39,12 @@ from repro.verify.scenarios import Scenario
 
 #: default bound on explored branches per scenario
 DEFAULT_BUDGET = 64
+
+#: attaches the run's monitor to runtimes built mid-run (service jobs);
+#: created after the runtime's own registries, so it attaches last
+_monitor_everywhere = AutoAttach(
+    lambda runtime, monitor: runtime.probes.attach(monitor)
+)
 
 
 @dataclass
@@ -114,7 +120,11 @@ def run_schedule(
     oracle.position = lambda: len(monitor.exec_order)
     engine.set_hb(monitor)
     engine.set_oracle(oracle)
-    monitor_mod.install(monitor)
+    # after the build: set-up accesses are not part of the explored run,
+    # and the scenario's sentinel must precede the monitor
+    for runtime in instance.runtimes:
+        runtime.probes.attach(monitor)
+    _monitor_everywhere.enable(monitor)
     status, error, fingerprint = "ok", None, None
     try:
         instance.run()
@@ -124,7 +134,9 @@ def run_schedule(
     except Exception as exc:
         status, error = "fail", f"{type(exc).__name__}: {exc}"
     finally:
-        monitor_mod.install(None)
+        _monitor_everywhere.reset()
+        for runtime in instance.runtimes:
+            runtime.probes.detach(monitor)
         engine.set_oracle(None)
         engine.set_hb(None)
     return (

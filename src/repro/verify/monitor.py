@@ -3,9 +3,13 @@
 One :class:`VerifyMonitor` observes one simulation run.  It plugs into the
 engine through :meth:`~repro.sim.engine.SimEngine.set_hb` (event
 attribution, coroutine lifecycle, future causality) and into the runtime
-protocol layer through the module-global :data:`current` hook, which the
-instrumented call sites in ``repro.runtime.*`` consult with one ``is not
-None`` check.
+protocol layer as a :class:`~repro.runtime.probes.Probe` subscriber of
+every runtime in the run: the guard and footprint events (``sync_*``,
+``frag_*``) plus ``on_task_executing``, where it records the task body's
+accesses.  :func:`repro.verify.explorer.run_schedule` attaches it
+after the scenario's own subscribers (the sentinel's guard queries must
+reach it) and, through an :class:`~repro.runtime.probes.AutoAttach`
+registry, to every runtime the run builds.
 
 **Thread model.**  Logical threads are the spawned generator coroutines
 (tasks, staging passes, balancer rounds, fetchers) plus thread 0 for the
@@ -27,9 +31,6 @@ record a dependence footprint op, which is what the DPOR layer uses as its
 independence relation: two events are independent unless their footprints
 share a key with at least one writer (and, for region-tagged ops,
 overlapping regions).
-
-This module must not import anything from ``repro.runtime`` (the runtime
-imports it at module load).
 """
 
 from __future__ import annotations
@@ -37,21 +38,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.analysis.findings import Finding
+from repro.runtime.probes import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.items.base import DataItem
     from repro.regions.base import Region
     from repro.sim.engine import Future
-
-#: the active monitor, consulted by instrumented runtime call sites;
-#: ``None`` (the overwhelmingly common case) costs one attribute read
-current: "VerifyMonitor | None" = None
-
-
-def install(monitor: "VerifyMonitor | None") -> None:
-    """Set (or with ``None`` clear) the process-global monitor hook."""
-    global current
-    current = monitor
 
 
 VectorClock = dict[int, int]
@@ -105,7 +97,7 @@ class _Access:
         self.logical = logical
 
 
-class VerifyMonitor:
+class VerifyMonitor(Probe):
     """Vector-clock happens-before state for one controlled run."""
 
     def __init__(self) -> None:
@@ -210,7 +202,18 @@ class VerifyMonitor:
         pending = self._future_pending.setdefault(id(future), {})
         _merge(pending, self.clocks[self._stack[-1]])
 
-    # -- runtime-side instrumentation API ----------------------------------------
+    # -- runtime-side instrumentation API (probe events) ---------------------------
+
+    def on_task_executing(self, task: Any, treeture: Any, pid: int, now: float) -> None:
+        """The task body's accesses, recorded while the verified locks are
+        held (they protect the whole execution window)."""
+        for item in task.accessed_items_ordered():
+            write = task.write_region(item)
+            if not write.is_empty():
+                self.frag_write(pid, item, write, f"task:{task.name}")
+            read = task.read_region(item).difference(write)
+            if not read.is_empty():
+                self.frag_read(pid, item, read, f"task:{task.name}")
 
     def op(
         self, key: tuple, write: bool, region: "Region | None" = None

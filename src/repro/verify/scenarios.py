@@ -36,8 +36,12 @@ class ScenarioInstance:
         engine: Any,
         run: Callable[[], None],
         fingerprint: Callable[[], str],
+        runtimes: tuple[AllScaleRuntime, ...] = (),
     ) -> None:
         self.engine = engine
+        #: runtimes built with the instance (runtimes the run itself
+        #: builds are reached through process-wide auto-attachment)
+        self.runtimes = runtimes
         self._run = run
         self._fingerprint = fingerprint
 
@@ -88,6 +92,17 @@ def _runtime_fingerprint(
     return digest.hexdigest()[:16]
 
 
+def _runtime_instance(
+    runtime: AllScaleRuntime, run: Callable[[], None], results: list[Any]
+) -> ScenarioInstance:
+    return ScenarioInstance(
+        runtime.engine,
+        run,
+        lambda: _runtime_fingerprint(runtime, results),
+        (runtime,),
+    )
+
+
 def _drive(runtime: AllScaleRuntime, treetures: list[Any]) -> list[Any]:
     values = [runtime.wait(t) for t in treetures]
     runtime.check_ownership_invariants()
@@ -134,9 +149,7 @@ def _migration_under_read() -> ScenarioInstance:
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _runtime_instance(runtime, run, results)
 
 
 # -- scenario 2: balancer churn vs pinned reads --------------------------------------
@@ -184,9 +197,7 @@ def _balancer_vs_pin() -> ScenarioInstance:
                 raise RuntimeError("churn driver never completed")
         runtime.check_ownership_invariants()
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _runtime_instance(runtime, run, results)
 
 
 # -- scenario 3: overlapping write-intent chain --------------------------------------
@@ -243,9 +254,7 @@ def _write_intent_chain() -> ScenarioInstance:
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _runtime_instance(runtime, run, results)
 
 
 # -- scenario 4: replica cache invalidation under coalescing -------------------------
@@ -306,9 +315,7 @@ def _replica_cache_invalidation() -> ScenarioInstance:
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _runtime_instance(runtime, run, results)
 
 
 # -- scenario 5: node failure during migration ---------------------------------------
@@ -388,9 +395,7 @@ def _node_failure_during_migration() -> ScenarioInstance:
                 raise RuntimeError("failure choreography never completed")
         results.extend(_drive(runtime, [runtime.submit(reader, origin=0)]))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _runtime_instance(runtime, run, results)
 
 
 # -- scenario 6: service admission races ---------------------------------------------

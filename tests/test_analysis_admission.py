@@ -24,6 +24,10 @@ def make_runtime(nodes=2):
     return AllScaleRuntime(cluster, RuntimeConfig(functional=False))
 
 
+def analyzer(runtime):
+    return runtime.probes.find(AdmissionController)
+
+
 GRID = Grid((32,), name="g")
 
 
@@ -113,16 +117,16 @@ class TestController:
         runtime = make_runtime()
         controller = AdmissionController(runtime).attach()
         controller.detach()
-        assert runtime.analyzer is None
+        assert analyzer(runtime) is None
 
 
 class TestGlobalEnablement:
     def test_enable_globally_auto_attaches(self):
         admission.enable_globally(AdmissionConfig())
         runtime = make_runtime()
-        assert runtime.analyzer is not None
+        assert analyzer(runtime) is not None
         created = admission.drain_created()
-        assert created == [runtime.analyzer]
+        assert created == [analyzer(runtime)]
         assert admission.drain_created() == []
 
     def test_disable_globally_overrides_env(self, monkeypatch):
@@ -130,7 +134,7 @@ class TestGlobalEnablement:
         admission.disable_globally()
         assert admission.global_config() is None
         runtime = make_runtime()
-        assert runtime.analyzer is None
+        assert analyzer(runtime) is None
 
     def test_env_variable_strict(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYZE", "strict")
@@ -146,4 +150,4 @@ class TestGlobalEnablement:
         config = admission.global_config()
         assert config is not None and not config.strict
         runtime = make_runtime()
-        assert runtime.analyzer is not None
+        assert analyzer(runtime) is not None

@@ -5,6 +5,7 @@ from repro.items.grid import Grid
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
+from repro.runtime.tracing import ExecutionTracer
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -130,6 +131,26 @@ class TestWorkStealing:
             runtime.wait(t)
         assert runtime.metrics.counter("proc.steals") >= 1
         assert runtime.process(1).executed_leaves > 0
+
+    def test_tracer_attributes_stolen_tasks_to_the_thief(self):
+        """A stolen task's trace record names the process that ran it."""
+        runtime = make_runtime(nodes=2, cores=1, work_stealing=True, seed=3)
+        tracer = ExecutionTracer()
+        runtime.tracer = tracer
+        treetures = [
+            runtime.submit(
+                TaskSpec(name=f"t{k}", flops=5e6, size_hint=1), origin=0
+            )
+            for k in range(20)
+        ]
+        for t in treetures:
+            runtime.wait(t)
+        assert runtime.metrics.counter("proc.steals") >= 1
+        per_pid = [0, 0]
+        for record in tracer.records:
+            per_pid[record.pid] += 1
+        assert per_pid == [p.executed_leaves for p in runtime.processes]
+        assert per_pid[1] > 0
 
     def test_no_stealing_when_disabled(self):
         runtime = make_runtime(nodes=2, cores=1, work_stealing=False)

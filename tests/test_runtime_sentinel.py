@@ -29,6 +29,7 @@ from repro.runtime.sentinel import (
     Violation,
 )
 from repro.runtime.tasks import TaskSpec
+from repro.runtime.tracing import ExecutionTracer
 from repro.sim.cluster import Cluster, ClusterSpec
 
 GRID_SIDE = 12
@@ -379,7 +380,8 @@ class TestSentinelFaultInjection:
         task = rw_task(grid, "dup", reads=box_region(grid, 0, 0, 3, 3))
         runtime.wait(runtime.submit(task, origin=0))
         assert sentinel.violations == []
-        sentinel.on_task_start(task, 1)  # second dispatch of the same task
+        # second dispatch of the same task
+        sentinel.on_task_started(task, None, 1, runtime.now)
         assert "single_execution" in _checks(sentinel)
 
     def test_wedged_runtime_fails_terminal_check(self):
@@ -440,6 +442,27 @@ class TestBoundsPrefilter:
         region = box_region(grid, 1, 1, 3, 3)
         first = sentinel._bounds(region)
         assert sentinel._bounds(region) is first
+
+
+@pytest.mark.sentinel_injection
+class TestProbeSubscription:
+    def test_detached_sentinel_receives_no_further_events(self):
+        runtime, sentinel = watched_runtime(nodes=2)
+        tracer = runtime.probes.attach(ExecutionTracer())
+        grid = Grid((GRID_SIDE, GRID_SIDE), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        task = rw_task(grid, "before", writes=box_region(grid, 0, 0, 4, 4))
+        runtime.wait(runtime.submit(task, origin=1))
+        checks, scans = sentinel.checks, sentinel.scans
+        assert checks > 0 and scans > 0
+        sentinel.detach()
+        assert runtime.sentinel is None and runtime.probes.active is tracer
+        task = rw_task(grid, "after", writes=box_region(grid, 0, 0, 4, 4))
+        runtime.wait(runtime.submit(task, origin=1))
+        assert (sentinel.checks, sentinel.scans) == (checks, scans)
+        assert [r.name for r in tracer.records] == ["before", "after"]
+        runtime.probes.detach(tracer)
+        assert runtime.probes.active is None
 
 
 @pytest.mark.sentinel_injection

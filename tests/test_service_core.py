@@ -7,6 +7,7 @@ import pytest
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
+from repro.runtime.tasks import TaskSpec
 from repro.service import (
     JobSpec,
     JobState,
@@ -284,9 +285,27 @@ def test_one_shot_runtime_has_no_job_context():
     runtime = AllScaleRuntime(
         Cluster(ClusterSpec(num_nodes=1, cores_per_node=1))
     )
-    assert runtime.job_context is None
+    assert runtime.probes.find(JobContext) is None
     assert runtime.config.tenant is None
     assert runtime.config.job_node_seconds_cap is None
+
+
+def test_job_context_counts_only_while_attached():
+    runtime = AllScaleRuntime(
+        Cluster(ClusterSpec(num_nodes=2, cores_per_node=1, flops_per_core=1e9))
+    )
+    context = runtime.probes.attach(JobContext(job_id="j", tenant="alpha"))
+
+    def leaf(name):
+        return TaskSpec(name=name, flops=2e6, size_hint=1)
+
+    runtime.wait(runtime.submit(leaf("a"), origin=1))
+    assert context.leaves_executed == 1 and context.tasks_dispatched == 1
+    assert context.cpu_seconds == pytest.approx(2e-3)
+    runtime.probes.detach(context)
+    runtime.wait(runtime.submit(leaf("b"), origin=1))
+    assert context.leaves_executed == 1 and context.tasks_dispatched == 1
+    assert runtime.probes.find(JobContext) is None
 
 
 def test_job_context_over_budget_is_sticky_not_fatal():
